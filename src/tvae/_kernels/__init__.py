@@ -1,32 +1,19 @@
-"""Gamma-family special functions with a compiled fast path.
+"""Gamma-family special functions.
 
-At import time we prefer the Cython extension ``_special``; when it is not
-built (source checkout without a compiler) we fall back to the pure-Python
-module ``special_py``. Set ``TVAE_PURE_KERNELS=1`` to force the fallback,
-e.g. to compare the two backends.
+The algorithms live in the pure-Python module ``special_py``; this layer
+adds the array interface and the domain checks.
 
 Public API: ``lgamma``, ``digamma``, ``trigamma`` (ndarray in/out, any
 shape) and their ``*_scalar`` variants. All require strictly positive
 arguments and raise :class:`~tvae.errors.DomainError` otherwise.
 """
 
-import os
-
 import numpy as np
 
 from ..errors import DomainError
 from . import special_py
 
-if os.environ.get("TVAE_PURE_KERNELS") == "1":
-    _impl = special_py
-    BACKEND = "pure"
-else:
-    try:
-        from . import _special as _impl
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = special_py
-        BACKEND = "pure"
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND",
@@ -54,36 +41,33 @@ def _elementwise(into, name, x):
 
 def lgamma(x):
     """Elementwise ln Gamma(x) for x > 0."""
-    return _elementwise(_impl.lgamma_into, "lgamma", x)
+    return _elementwise(special_py.lgamma_into, "lgamma", x)
 
 
 def digamma(x):
     """Elementwise psi(x) = d/dx ln Gamma(x) for x > 0."""
-    return _elementwise(_impl.digamma_into, "digamma", x)
+    return _elementwise(special_py.digamma_into, "digamma", x)
 
 
 def trigamma(x):
     """Elementwise psi'(x) = d^2/dx^2 ln Gamma(x) for x > 0."""
-    return _elementwise(_impl.trigamma_into, "trigamma", x)
+    return _elementwise(special_py.trigamma_into, "trigamma", x)
 
 
-def _scalar(into, name, x):
+def _scalar(fn, name, x):
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"{name} requires a positive argument; got {x!r}")
-    buf = np.array([x], dtype=np.float64)
-    out = np.empty(1, dtype=np.float64)
-    into(buf, out)
-    return float(out[0])
+    return fn(x)
 
 
 def lgamma_scalar(x):
-    return _scalar(_impl.lgamma_into, "lgamma", x)
+    return _scalar(special_py.lgamma_scalar, "lgamma", x)
 
 
 def digamma_scalar(x):
-    return _scalar(_impl.digamma_into, "digamma", x)
+    return _scalar(special_py.digamma_scalar, "digamma", x)
 
 
 def trigamma_scalar(x):
-    return _scalar(_impl.trigamma_into, "trigamma", x)
+    return _scalar(special_py.trigamma_scalar, "trigamma", x)

@@ -1,9 +1,5 @@
 """Pure-Python gamma-family kernels: log-gamma, digamma, trigamma.
 
-Reference implementation for the compiled extension in ``_special.pyx``.
-The scalar algorithms are kept in lock-step with the .pyx file; any change
-here must be mirrored there.
-
 Algorithms:
   * log-gamma: Lanczos approximation (g=7, 9 coefficients) with reflection
     below 0.5. The dominant term (x-0.5)*ln(t) - t is accumulated with an

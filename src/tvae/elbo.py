@@ -49,16 +49,6 @@ class TrainingMode:
             )
 
 
-@dataclass
-class ElboBreakdown:
-    """Per-observation bound split into its three live terms."""
-
-    recon: float
-    enc_entropy: float
-    cross_entropy: float
-    total: float
-
-
 def one_hot(labels, k_count):
     labels = np.asarray(labels)
     if labels.ndim != 1 or (labels < 0).any() or (labels >= k_count).any():
@@ -173,29 +163,6 @@ def elbo_terms(
         supervised_replacement=supervised_replacement,
     )
     return recon, entropy, cross
-
-
-def elbo_per_observation(
-    o, enc, dec, posterior, mode_kind, t_samples, k_count, labels=None,
-    weight_override=None, detach_gamma=False, supervised_replacement="weights",
-):
-    """Evaluate the bound row by row for reporting; returns ElboBreakdowns."""
-    recon, entropy, cross = elbo_terms(
-        o, enc, dec, posterior, mode_kind, t_samples, k_count,
-        labels=labels, weight_override=weight_override,
-        detach_gamma=detach_gamma, supervised_replacement=supervised_replacement,
-    )
-    out = []
-    for r, e, c in zip(recon.data, entropy.data, cross.data):
-        out.append(
-            ElboBreakdown(
-                recon=float(r),
-                enc_entropy=float(e),
-                cross_entropy=float(c),
-                total=float(r) + float(e) + float(c),
-            )
-        )
-    return out
 
 
 def l1_penalty(nets):

@@ -81,20 +81,12 @@ def check_loss_gradients(build_loss, params, h=1e-5, floor=1e-2, corrupt=None):
         if corrupt is not None:
             analytic = corrupt(name, analytic.copy())
         base = p.data.copy()
-        fd = np.zeros_like(base)
-        fd_flat = fd.reshape(-1)
-        work = base.copy()
-        view = work.reshape(-1)
-        for i in range(view.size):
-            orig = view[i]
-            view[i] = orig + h
-            p.assign_(work)
-            f_plus = build_loss().item()
-            view[i] = orig - h
-            p.assign_(work)
-            f_minus = build_loss().item()
-            view[i] = orig
-            fd_flat[i] = (f_plus - f_minus) / (2.0 * h)
+
+        def loss_at(values):
+            p.assign_(values)
+            return build_loss().item()
+
+        fd = central_difference(loss_at, base, h=h)
         p.assign_(base)
         errs = relative_error(analytic, fd, floor=floor)
         worst = int(np.argmax(errs)) if errs.size else 0

@@ -112,16 +112,6 @@ class SmmRawParams:
         self.K = k
         self.D = d
 
-    @classmethod
-    def default_init(cls, K, D, rng, sigma_jitter_sq, nu_init=5.0):
-        """Spread means from a seeded rng; identity-ish scales; nu at nu_init."""
-        m = np.zeros(K)
-        n = np.full(K, raw_dof_for_nu(nu_init))
-        mu = rng.standard_normal((K, D))
-        c_raw = np.zeros((K, D, D))
-        c_logdiag = np.zeros((K, D))
-        return cls(m, n, mu, c_raw, c_logdiag, sigma_jitter_sq)
-
     def params(self):
         return {
             t.name: t

@@ -164,3 +164,9 @@ def test_pure_backend_reports_bad_index():
     assert special_py.lgamma_into(x, out) == 2
     assert special_py.digamma_into(x, out) == 2
     assert special_py.trigamma_into(x, out) == 2
+
+
+@pytest.mark.parametrize("fn", [K.lgamma, K.digamma, K.trigamma])
+def test_public_api_reports_bad_flat_index(fn):
+    with pytest.raises(DomainError, match="flat index 2"):
+        fn(np.array([[2.0, 3.0], [-1.0, 4.0]]))
