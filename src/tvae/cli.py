@@ -569,6 +569,17 @@ def cmd_sample(args):
 # -------------------------------------------------------------------- parser
 
 
+def _count(text):
+    """argparse type for a number of rows to draw: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as validation failures."""
 
@@ -611,7 +622,7 @@ def build_parser():
         "--baseline", choices=("student-t", "gaussian"), default="student-t",
         help="'gaussian' freezes every dof at 1e6",
     )
-    p.add_argument("--plot-samples", type=int, default=500)
+    p.add_argument("--plot-samples", type=_count, default=500)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on labeled data")
@@ -642,7 +653,7 @@ def build_parser():
 
     p = sub.add_parser("sample", help="draw from a trained generative model")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)

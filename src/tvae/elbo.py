@@ -90,7 +90,7 @@ def encoder_entropy_term(enc):
 
 def cross_entropy_weights(
     posterior, mode_kind, k_count, labels=None, weight_override=None,
-    detach_gamma=False, supervised_replacement="weights",
+    detach_gamma=False,
 ):
     """The w_nk used against ln rho (rows sum to 1 in every mode)."""
     if weight_override is not None:

@@ -1,7 +1,11 @@
 """Training loop: Adam with gradient clipping, mixture warm start from a
 Gaussian-mixture fit of the initial latents, one closed-form ECM refit of
 the mixture at the end of every supervised epoch (unsupervised epochs stay
-gradient-only), per-epoch metrics, and bit-exact checkpointing."""
+gradient-only), per-epoch metrics, and bit-exact checkpointing.
+
+Forward-only requests (scoring, evaluation, sampling) build no autodiff
+graph: they use detached encoder outputs and one constant materialized
+mixture, rebuilt only after a raw mixture parameter has been replaced."""
 
 import json
 import time
@@ -224,6 +228,8 @@ class Trainer:
         if cfg.mode.kind in ("supervised", "semi_supervised") and labels is None:
             raise ContractViolation(f"{cfg.mode.kind} training requires labels")
         self.cfg = cfg
+        # (raw arrays, constant SmmParams) of ``_constant_mixture``
+        self._mixture_cache = None
         self.observations = observations
         self.labels = labels
         self.labeled_rows = (
@@ -422,26 +428,45 @@ class Trainer:
     # ------------------------------------------------------------ evaluation
 
     def _encode(self, observations, chunk=2048):
-        """Forward-only encoder outputs, one EncoderStats per chunk of rows,
-        each made only when it is consumed (so one chunk's activations are
-        alive at a time)."""
+        """Forward-only encoder outputs, one detached EncoderStats per chunk
+        of rows, each made only when it is consumed (so one chunk's
+        activations are alive at a time). The outputs are constants, so
+        nothing computed from them keeps a graph."""
         observations = np.asarray(observations, dtype=np.float64)
-        return (
-            network.encoder_forward(
+        for start in range(0, observations.shape[0], chunk):
+            stats = network.encoder_forward(
                 Tensor(observations[start : start + chunk]), self.encoder
             )
-            for start in range(0, observations.shape[0], chunk)
+            yield network.EncoderStats(stats.mu_x.detach(), stats.log_std_x.detach())
+
+    def _constant_mixture(self):
+        """``materialize_params`` of constant copies of the raw mixture.
+
+        The result is kept with the five raw arrays it came from and reused
+        while each raw parameter still holds the same array object.
+        ``assign_`` always installs a new array, so an Adam step, the refit
+        and a checkpoint restore all force a rebuild.
+        """
+        raw = self.raw_mix
+        arrays = tuple(
+            p.data for p in (raw.m, raw.n, raw.mu, raw.c_raw, raw.c_logdiag)
         )
+        cache = self._mixture_cache
+        if cache is None or any(a is not b for a, b in zip(arrays, cache[0])):
+            const = mixture.SmmRawParams(*map(Tensor, arrays), raw.sigma_jitter_sq)
+            cache = self._mixture_cache = (arrays, mixture.materialize_params(const))
+        return cache[1]
 
     def predict_responsibilities(self, observations, chunk=2048, encoded=None):
         """(N, K) responsibilities without touching the optimizer state.
 
-        ``encoded`` is ``list(_encode(observations))`` when the caller
-        already has it.
+        Builds no graph: detached encoder outputs scored against the
+        constant mixture of ``_constant_mixture``. ``encoded`` is
+        ``list(_encode(observations))`` when the caller already has it.
         """
         if encoded is None:
             encoded = self._encode(observations, chunk)
-        params = mixture.materialize_params(self.raw_mix)
+        params = self._constant_mixture()
         return np.vstack(
             [mixture.posterior_stats(stats, params).gamma.data for stats in encoded]
         )
@@ -477,8 +502,12 @@ class Trainer:
         return float((pred != labels).mean()), confusion
 
     def sample(self, count, rng):
-        """Generative draws: (cluster, u, latent x, decoded observation o)."""
-        params = mixture.materialize_params(self.raw_mix)
+        """Generative draws: (cluster, u, latent x, decoded observation o),
+        ``count`` >= 0, drawn from the constant mixture of
+        ``_constant_mixture``."""
+        if count < 0:
+            raise ContractViolation(f"sample count must be >= 0, got {count}")
+        params = self._constant_mixture()
         labels, u, x = mixture.sample_generative(rng, params, count)
         if count == 0:
             return labels, u, x, np.empty((0, self.cfg.net.layer_dims[0]))

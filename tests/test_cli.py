@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tvae import data as data_mod
-from tvae.cli import main
+from tvae.cli import EXIT_VALIDATION, main
 
 TINY_CONFIG = {
     "epochs": 3,
@@ -403,6 +403,29 @@ def test_sample_count_zero_writes_header_only(workspace, tmp_path):
     ckpt = os.path.join(workspace["run"], "checkpoint.json")
     assert main(["sample", "--checkpoint", ckpt, "--count", "0", "--seed", "1", "--out", out]) == 0
     assert open(out).read() == "cluster,u,x0,x1,o0,o1\n"
+
+
+def test_negative_sample_count_is_a_usage_failure(workspace, tmp_path, capsys):
+    ckpt = os.path.join(workspace["run"], "checkpoint.json")
+    out = str(tmp_path / "gen.csv")
+    args = ["sample", "--checkpoint", ckpt, "--count", "-1", "--seed", "1", "--out", out]
+    assert main(args) == EXIT_VALIDATION
+    assert "--count" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_negative_plot_samples_fails_before_training(workspace, tmp_path, capsys):
+    run_dir = tmp_path / "r"
+    args = [
+        "train",
+        "--config", workspace["config"],
+        "--data", workspace["data"],
+        "--out-dir", str(run_dir),
+        "--plot-samples", "-1",
+    ]
+    assert main(args) == EXIT_VALIDATION
+    assert "--plot-samples" in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 def test_sample_is_seed_deterministic(workspace, tmp_path):

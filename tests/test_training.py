@@ -368,6 +368,71 @@ def test_sample_shapes_and_determinism():
         assert np.array_equal(a, b)
     empty = trainer.sample(0, np.random.default_rng(41))
     assert empty[2].shape == (0, 2) and empty[3].shape == (0, 2)
+    with pytest.raises(ContractViolation):
+        trainer.sample(-1, np.random.default_rng(42))
+
+
+# ------------------------------------------------- forward-only requests
+
+
+def assert_scores_match_the_graph_route(trainer, obs):
+    enc = network.encoder_forward(Tensor(obs), trainer.encoder)
+    params = mixture.materialize_params(trainer.raw_mix)
+    expected = mixture.posterior_stats(enc, params).gamma.data
+    assert np.array_equal(trainer.predict_responsibilities(obs), expected)
+
+
+def test_scores_follow_every_parameter_change(tmp_path):
+    obs, labels = two_blobs()
+    trainer = training.Trainer(obs, labels, base_config(epochs=2))
+    assert_scores_match_the_graph_route(trainer, obs)
+    trainer.train_epochs(1)  # Adam steps, then the closed-form refit
+    assert_scores_match_the_graph_route(trainer, obs)
+    rng = np.random.default_rng(50)
+    for p in trainer.raw_mix.params().values():
+        p.assign_(p.data + 0.05 * rng.standard_normal(p.shape))
+        assert_scores_match_the_graph_route(trainer, obs)
+
+    path = tmp_path / "ckpt.json"
+    training.save_checkpoint(trainer, path)
+    loaded = training.load_checkpoint(path, obs, labels)
+    assert_scores_match_the_graph_route(loaded, obs)
+    assert np.array_equal(
+        loaded.predict_responsibilities(obs), trainer.predict_responsibilities(obs)
+    )
+
+
+def test_scores_follow_training_under_freeze_dof():
+    obs, labels = two_blobs()
+    trainer = training.Trainer(obs, labels, base_config(freeze_dof=True))
+    assert_scores_match_the_graph_route(trainer, obs)
+    trainer.train_epochs(1)
+    assert_scores_match_the_graph_route(trainer, obs)
+
+
+def test_sample_draws_from_the_current_mixture():
+    obs, labels = two_blobs()
+    trainer = training.Trainer(obs, labels, base_config(epochs=2))
+    trainer.sample(5, np.random.default_rng(60))  # caches the initial mixture
+    trainer.train_epochs(1)
+    drawn = trainer.sample(40, np.random.default_rng(61))
+    expected = mixture.sample_generative(
+        np.random.default_rng(61), mixture.materialize_params(trainer.raw_mix), 40
+    )
+    for a, b in zip(drawn, expected):
+        assert np.array_equal(a, b)
+
+
+def test_forward_only_requests_build_no_graph():
+    obs, labels = two_blobs()
+    trainer = training.Trainer(obs, labels, base_config(epochs=1))
+    trainer.train_epochs()
+    for stats in trainer._encode(obs, chunk=50):
+        assert not stats.mu_x.requires_grad and not stats.log_std_x.requires_grad
+    params = trainer._constant_mixture()
+    tensors = [params.pi, params.nu, params.mu, params.log_det_sigma]
+    tensors += params.sigma + params.sigma_inv
+    assert not any(t.requires_grad for t in tensors)
 
 
 # ------------------------------------------------------ closed-form refit
