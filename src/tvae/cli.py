@@ -16,12 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import data as data_mod
-from . import elbo, mixture, network, training
+from . import elbo, mixture, training
 from .elbo import TrainingMode
 from .errors import ContractViolation, DomainError, NumericFault, ValidationError
 from .gradcheck import check_loss_gradients
 from .network import MlpConfig, TwoHeadMlp
-from .tensor import Tensor
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -244,9 +243,9 @@ def _write_metrics(out_dir, metrics):
 
 
 def _write_latents(out_dir, trainer, ds):
-    gamma = trainer.predict_responsibilities(ds.observations)
-    stats = network.encoder_forward(Tensor(ds.observations), trainer.encoder)
-    mu = stats.mu_x.data
+    encoded = list(trainer._encode(ds.observations))
+    gamma = trainer.predict_responsibilities(ds.observations, encoded=encoded)
+    mu = np.vstack([stats.mu_x.data for stats in encoded])
     d, k = mu.shape[1], gamma.shape[1]
     header = (
         [f"x{i}" for i in range(d)] + [f"gamma{j}" for j in range(k)] + ["cluster"]
@@ -546,8 +545,7 @@ def cmd_gridsearch(args):
 def cmd_sample(args):
     path = _resolve(args.checkpoint)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
+        state = training.read_checkpoint(path)
     except OSError as exc:
         raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
     except ValueError as exc:
@@ -558,7 +556,7 @@ def cmd_sample(args):
     needs_labels = state["config"]["mode"]["kind"] != "unsupervised"
     stub_obs = np.zeros((1, input_dim))
     stub_labels = np.zeros(1, dtype=np.int64) if needs_labels else None
-    trainer = training.load_checkpoint(path, stub_obs, stub_labels)
+    trainer = training.restore_checkpoint(state, stub_obs, stub_labels)
     clusters, u, x, obs = trainer.sample(args.count, np.random.default_rng(args.seed))
     out = _prepare_out(args.out)
     _write_samples(out, clusters, u, x, obs)

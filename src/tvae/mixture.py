@@ -161,19 +161,23 @@ def materialize_params(raw):
     strict_mask = Tensor(np.tril(np.ones((d, d)), k=-1))
     eye = Tensor(np.eye(d) * raw.sigma_jitter_sq)
     sigma, sigma_inv, log_dets = [], [], []
-    chols = np.empty((k_comp, d, d))
     for k in range(k_comp):
         c_k = raw.c_raw.take(k) * strict_mask + raw.c_logdiag.take(k).exp().diag_embed()
         sig = c_k @ c_k.T + eye
         sigma.append(sig)
         sigma_inv.append(sig.inverse())
         log_dets.append(sig.logdet())
-        try:
-            chols[k] = np.linalg.cholesky(sig.data)
-        except np.linalg.LinAlgError as exc:  # cannot happen for jitter > 0
-            raise NumericFault(
-                f"scale matrix {k} lost positive definiteness: {exc}"
-            ) from exc
+    try:
+        chols = np.linalg.cholesky(np.stack([sig.data for sig in sigma]))
+    except np.linalg.LinAlgError:  # cannot happen for jitter > 0
+        for k, sig in enumerate(sigma):
+            try:
+                np.linalg.cholesky(sig.data)
+            except np.linalg.LinAlgError as exc:
+                raise NumericFault(
+                    f"scale matrix {k} lost positive definiteness: {exc}"
+                ) from exc
+        raise
     params = SmmParams(
         pi=pi,
         nu=nu,

@@ -12,10 +12,18 @@ Conventions:
   * primitives validate their domain up front (log of a non-positive
     value raises :class:`~tvae.errors.DomainError`) and verify the result
     is finite (otherwise :class:`~tvae.errors.NumericFault`), so NaN never
-    propagates silently
+    propagates silently; every backward contribution is checked the same
+    way. The check (``_all_finite``) first tests the sum of the array and
+    looks at the elements only when that sum is not finite, so it is exact
+    and costs one reduction in the common case
+  * a backward closure returns ``None`` for a parent that does not require
+    grad; ``take`` returns a ``_RowGrad`` that the walk scatters into the
+    parent's accumulated gradient instead of a dense zero array
   * graphs are per-expression; there is no global tape, which keeps
     independent training runs safe to execute on separate threads
 """
+
+import math
 
 import numpy as np
 
@@ -29,6 +37,30 @@ class GradientMap(dict):
 
 def _as_array(x):
     return np.asarray(x, dtype=np.float64)
+
+
+def _all_finite(arr):
+    """True when every element of the float64 array ``arr`` is finite.
+
+    Under IEEE 754 a sum with an inf or NaN term is inf or NaN, so a finite
+    sum proves every element finite. A non-finite sum may also be an
+    overflow of finite terms (numpy then warns), so only then are the
+    elements tested one by one.
+    """
+    return math.isfinite(np.add.reduce(arr, axis=None)) or bool(
+        np.isfinite(arr).all()
+    )
+
+
+class _RowGrad:
+    """Gradient that is zero except at ``index`` of the leading axis, where
+    it is ``value``; returned by the backward of ``take``."""
+
+    __slots__ = ("index", "value")
+
+    def __init__(self, index, value):
+        self.index = index
+        self.value = value
 
 
 def _sigmoid(x):
@@ -57,11 +89,15 @@ def _unbroadcast(grad, shape):
 class Tensor:
     """A dense float64 array plus the graph edge that produced it."""
 
-    __slots__ = ("data", "requires_grad", "name", "_parents", "_backward", "_op")
+    # ``_inv`` is set only by ``inverse()`` on an op output and read by the
+    # backward of ``logdet()`` on the same node
+    __slots__ = (
+        "data", "requires_grad", "name", "_parents", "_backward", "_op", "_inv"
+    )
 
     def __init__(self, data, requires_grad=False, name=None):
         arr = _as_array(data)
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise ContractViolation(
                 "tensor construction requires finite data"
                 + (f" (name={name!r})" if name else "")
@@ -89,13 +125,18 @@ class Tensor:
     @classmethod
     def _from_op(cls, data, parents, op, backward):
         arr = _as_array(data)
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NumericFault(f"primitive '{op}' produced non-finite values")
         out = cls.__new__(cls)
         out.data = arr
         out.name = None
-        out.requires_grad = any(p.requires_grad for p in parents)
-        if out.requires_grad:
+        requires_grad = False
+        for p in parents:
+            if p.requires_grad:
+                requires_grad = True
+                break
+        out.requires_grad = requires_grad
+        if requires_grad:
             out._parents = tuple(parents)
             out._backward = backward
         else:
@@ -138,7 +179,7 @@ class Tensor:
             raise ContractViolation(
                 f"assign_ shape mismatch: {arr.shape} vs {self.data.shape}"
             )
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise NumericFault(
                 f"assign_ to {self.name or '<unnamed>'} with non-finite data"
             )
@@ -151,7 +192,10 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+            return (
+                _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+            )
 
         return Tensor._from_op(a.data + b.data, (a, b), "add", backward)
 
@@ -162,7 +206,10 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
+            return (
+                _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None,
+            )
 
         return Tensor._from_op(a.data - b.data, (a, b), "sub", backward)
 
@@ -175,8 +222,8 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape),
+                _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
             )
 
         return Tensor._from_op(a.data * b.data, (a, b), "mul", backward)
@@ -191,8 +238,10 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+                _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if b.requires_grad
+                else None,
             )
 
         return Tensor._from_op(a.data / b.data, (a, b), "div", backward)
@@ -215,7 +264,10 @@ class Tensor:
             raise ContractViolation(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
         def backward(g):
-            return (g @ b.data.T, a.data.T @ g)
+            return (
+                g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None,
+            )
 
         return Tensor._from_op(a.data @ b.data, (a, b), "matmul", backward)
 
@@ -248,12 +300,9 @@ class Tensor:
                 f"take index {index} out of range for shape {a.shape}"
             )
 
-        def backward(g):
-            full = np.zeros_like(a.data)
-            full[index] = g
-            return (full,)
-
-        return Tensor._from_op(a.data[index].copy(), (a,), "take", backward)
+        return Tensor._from_op(
+            a.data[index].copy(), (a,), "take", lambda g: (_RowGrad(index, g),)
+        )
 
     # -- reductions ------------------------------------------------------
 
@@ -375,6 +424,9 @@ class Tensor:
             inv = np.linalg.inv(a.data)
         except np.linalg.LinAlgError as exc:
             raise DomainError(f"inverse of a singular matrix: {exc}") from exc
+        if a._op != "leaf":
+            # a leaf's data can be replaced by ``assign_``; an op output's not
+            a._inv = inv
 
         def backward(g):
             return (-inv.T @ g @ inv.T,)
@@ -390,7 +442,10 @@ class Tensor:
             raise DomainError("logdet requires a positive-determinant matrix")
 
         def backward(g):
-            return (g * np.linalg.inv(a.data).T,)
+            inv = getattr(a, "_inv", None)
+            if inv is None:
+                inv = np.linalg.inv(a.data)
+            return (g * inv.T,)
 
         return Tensor._from_op(ld, (a,), "logdet", backward)
 
@@ -493,6 +548,9 @@ def evaluate_and_grad(loss):
             f"loss must be a scalar tensor, got shape {loss.data.shape}"
         )
     grads = {id(loss): np.ones((), dtype=np.float64)}
+    # ids whose accumulated gradient is an array this walk made and no one
+    # else holds, so later contributions may be added into it in place
+    owned = set()
     leaves = {}
     if loss.requires_grad:
         for node in reversed(_topological_order(loss)):
@@ -514,16 +572,33 @@ def evaluate_and_grad(loss):
             for parent, pg in zip(node._parents, node._backward(g)):
                 if not parent.requires_grad:
                     continue
+                index = None
+                if type(pg) is _RowGrad:
+                    index, pg = pg.index, pg.value
                 pg = _as_array(pg)
-                if not np.isfinite(pg).all():
+                if not _all_finite(pg):
                     raise NumericFault(
                         f"backward of '{node._op}' produced non-finite gradients"
                     )
                 key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
+                acc = grads.get(key)
+                if acc is None:
+                    if index is None:
+                        grads[key] = pg  # may alias another array: never written
+                        continue
+                    acc = grads[key] = np.zeros_like(parent.data)
+                    acc[index] = pg
+                elif key not in owned:
+                    if index is None:
+                        grads[key] = acc + pg
+                    else:
+                        acc = grads[key] = acc.copy()
+                        acc[index] += pg
+                elif index is None:
+                    np.add(acc, pg, out=acc)
                 else:
-                    grads[key] = pg
+                    acc[index] += pg
+                owned.add(key)
     gmap = GradientMap()
     for name, (_, g) in leaves.items():
         gmap[name] = Tensor(g)

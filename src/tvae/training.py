@@ -588,13 +588,20 @@ def save_checkpoint(trainer, path):
         "rng_state": trainer.rng.bit_generator.state,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
+        # json.dumps runs the C encoder (json.dump the pure-Python one);
+        # both write the same bytes
+        fh.write(json.dumps(state))
 
 
-def load_checkpoint(path, observations, labels):
-    """Rebuild a Trainer whose next step matches the saved run bit-exactly."""
+def read_checkpoint(path):
+    """The parsed JSON of a checkpoint file; ``restore_checkpoint`` checks it."""
     with open(path, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
+        return json.load(fh)
+
+
+def restore_checkpoint(state, observations, labels):
+    """Rebuild a Trainer from ``read_checkpoint``'s result; its next step
+    matches the saved run bit-exactly."""
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValidationError(
@@ -613,3 +620,8 @@ def load_checkpoint(path, observations, labels):
         "warm_weights": np.asarray(state["warm_weights"], dtype=np.float64),
     }
     return Trainer(observations, labels, cfg, _restore=restore)
+
+
+def load_checkpoint(path, observations, labels):
+    """Rebuild a Trainer whose next step matches the saved run bit-exactly."""
+    return restore_checkpoint(read_checkpoint(path), observations, labels)

@@ -15,7 +15,7 @@ from scipy.stats import multivariate_normal
 
 import tvae.distributions as dist
 from tvae import mixture
-from tvae.errors import ContractViolation, DomainError
+from tvae.errors import ContractViolation, DomainError, NumericFault
 from tvae.network import EncoderStats
 from tvae.tensor import Tensor
 
@@ -122,6 +122,28 @@ def test_materialize_matches_numpy_assembly():
         chol = params.sigma_chol[k]
         assert np.allclose(chol @ chol.T, sig, atol=1e-12)
     assert float(params.pi.data.sum()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_materialize_cholesky_factors_each_component_and_names_a_failure():
+    rng = np.random.default_rng(403)
+    raw = random_raw(rng, k_count=5, d=4)
+    params = mixture.materialize_params(raw)
+    for k in range(5):
+        want = np.linalg.cholesky(params.sigma[k].data)
+        assert np.array_equal(params.sigma_chol[k], want)
+    bad = mixture.SmmRawParams(
+        m=np.zeros(3),
+        n=np.full(3, 4.0),
+        mu=np.zeros((3, 2)),
+        c_raw=np.zeros((3, 2, 2)),
+        c_logdiag=[[1.0, 1.0], [-3.0, -3.0], [1.0, 1.0]],
+        sigma_jitter_sq=0.01,
+    )
+    # past the constructor's check: Sigma_1 = C C^T - I is invertible with a
+    # positive determinant, but not positive definite
+    bad.sigma_jitter_sq = -1.0
+    with pytest.raises(NumericFault, match="scale matrix 1 lost positive"):
+        mixture.materialize_params(bad)
 
 
 def test_raw_params_shape_validation():

@@ -4,9 +4,18 @@ domain policing, and graph bookkeeping."""
 import numpy as np
 import pytest
 
+from tvae import elbo, mixture, network
 from tvae.errors import ContractViolation, DomainError, NumericFault
 from tvae.gradcheck import check_loss_gradients, relative_error
-from tvae.tensor import GradientMap, Tensor, concat, evaluate_and_grad, stack
+from tvae.tensor import (
+    GradientMap,
+    Tensor,
+    _RowGrad,
+    _topological_order,
+    concat,
+    evaluate_and_grad,
+    stack,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -215,6 +224,21 @@ def test_nonfinite_leaf_rejected():
         Tensor([np.inf])
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_tiny_log_argument_faults_in_backward():
+    x = Tensor.param([1e-310], "x")
+    with pytest.raises(NumericFault, match="'log'"):
+        evaluate_and_grad(x.log().sum())
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_finite_data_whose_sum_overflows_is_accepted():
+    big = Tensor([1e308, 1e308])
+    np.testing.assert_array_equal(big.data, [1e308, 1e308])
+    with pytest.raises(NumericFault, match="'sum'"):
+        big.sum()
+
+
 def test_inverse_rejects_singular():
     with pytest.raises(DomainError, match="singular"):
         Tensor(np.zeros((2, 2))).inverse()
@@ -285,6 +309,132 @@ def test_determinism_bit_identical():
     v2, g2 = run()
     assert v1 == v2
     assert np.array_equal(g1["w"].data, g2["w"].data)
+
+
+def _dense_reference_grads(loss):
+    """The backward walk without the engine's shortcuts: every contribution
+    a dense array (a ``take`` gradient expanded to its parent's shape),
+    summed into a fresh array each time, in the engine's order."""
+    grads = {id(loss): np.ones(())}
+    leaves = {}
+    for node in reversed(_topological_order(loss)):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None:
+            if node.requires_grad:
+                leaves[node.name] = g
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if not parent.requires_grad:
+                continue
+            if isinstance(pg, _RowGrad):
+                full = np.zeros_like(parent.data)
+                full[pg.index] = pg.value
+                pg = full
+            pg = np.asarray(pg, dtype=np.float64)
+            key = id(parent)
+            grads[key] = grads[key] + pg if key in grads else pg
+    return leaves
+
+
+def _small_mixture_loss(mode_kind):
+    rng = np.random.default_rng(311)
+    n_rows, obs_dim, latent_dim, k_count = 7, 5, 2, 3
+    enc = network.TwoHeadMlp(
+        network.MlpConfig((obs_dim, 6, latent_dim), "tanh"), "enc", rng
+    )
+    dec = network.TwoHeadMlp(
+        network.MlpConfig((latent_dim, 6, obs_dim), "tanh"), "dec", rng
+    )
+    raw = mixture.SmmRawParams(
+        m=rng.standard_normal(k_count) * 0.3,
+        n=rng.uniform(3.0, 6.0, k_count),
+        mu=rng.standard_normal((k_count, latent_dim)),
+        c_raw=rng.standard_normal((k_count, latent_dim, latent_dim)) * 0.2,
+        c_logdiag=rng.uniform(-0.5, 0.2, (k_count, latent_dim)),
+        sigma_jitter_sq=0.01,
+    )
+    labels = rng.integers(0, k_count, n_rows) if mode_kind == "supervised" else None
+    return elbo.loss_batch(
+        rng.standard_normal((n_rows, obs_dim)),
+        enc,
+        dec,
+        raw,
+        mode_kind,
+        0.01,
+        rng=rng,
+        t_samples=2,
+        labels=labels,
+    )
+
+
+@pytest.mark.parametrize("mode_kind", ["supervised", "unsupervised"])
+def test_backward_equals_dense_reference_walk(mode_kind):
+    # take-scatter mixed with dense uses of the same leaf, constant operands
+    # (one-hot weights, masks, observations) and shared parents
+    loss = _small_mixture_loss(mode_kind)
+    _, gmap = evaluate_and_grad(loss)
+    want = _dense_reference_grads(loss)
+    assert sorted(gmap) == sorted(want)
+    for name, g in want.items():
+        assert np.array_equal(gmap[name].data, g), name
+
+
+def test_backward_of_aliased_contributions_equals_dense_reference_walk():
+    # ``p + q`` hands one array to both parents as their first gradient;
+    # later contributions to p (dense or take) must not change q's
+    rng = np.random.default_rng(317)
+    p = Tensor.param(rng.standard_normal((3, 2)), "p")
+    q = Tensor.param(rng.standard_normal((3, 2)), "q")
+    w = Tensor(rng.standard_normal((3, 2)))
+    for build in (
+        lambda: ((p + q) * w).sum() + (p * w).sum() + (p * p).sum(),
+        lambda: ((p + q) * w).sum() + p.take(1).square().sum() + p.take(2).sum(),
+        lambda: (p + q).sum() + (p.take(0) * p.take(0)).sum() + (q + q).sum(),
+        lambda: p.take(0).sum() + ((p + q) * w).sum() + (p - q).square().sum(),
+    ):
+        loss = build()
+        _, gmap = evaluate_and_grad(loss)
+        want = _dense_reference_grads(loss)
+        for name, g in want.items():
+            assert np.array_equal(gmap[name].data, g), name
+
+
+def test_backward_repeats_and_leaves_node_data_alone():
+    loss = _small_mixture_loss("supervised")
+    nodes = _topological_order(loss)
+    before = [node.data.copy() for node in nodes]
+    v1, g1 = evaluate_and_grad(loss)
+    v2, g2 = evaluate_and_grad(loss)
+    assert v1 == v2
+    assert sorted(g1) == sorted(g2)
+    for name in g1:
+        assert np.array_equal(g1[name].data, g2[name].data), name
+    for node, data in zip(nodes, before):
+        assert np.array_equal(node.data, data), node
+
+
+def test_logdet_gradient_with_and_without_inverse_of_the_same_node():
+    rng = np.random.default_rng(313)
+    a = Tensor.param(rng.standard_normal((3, 3)), "a")
+    eye = np.eye(3) * 0.5
+
+    def alone():
+        return (a @ a.T + eye).logdet()
+
+    def with_inverse():
+        spd = a @ a.T + eye
+        return spd.inverse().sum() + spd.logdet()
+
+    _fd_check(alone, {"a": a})
+    _fd_check(with_inverse, {"a": a})
+    # a leaf's inverse is not reused, because assign_ may replace its data
+    s = Tensor.param(np.eye(2) * 2.0, "s")
+    s.inverse()
+    s.assign_(np.eye(2) * 4.0)
+    _, gmap = evaluate_and_grad(s.logdet())
+    np.testing.assert_allclose(gmap["s"].data, np.eye(2) * 0.25)
 
 
 def test_assign_is_the_update_path():
