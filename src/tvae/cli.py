@@ -498,8 +498,11 @@ def cmd_gridsearch(args):
         )
 
     if payloads:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # Under fork the pool starts all its workers at the first submit, so
+        # it is never larger than the work.
+        workers = min(args.jobs, len(payloads))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for (idx, _), out in zip(
                     payloads, pool.map(_run_grid_cell, [p for _, p in payloads])
                 ):
@@ -567,15 +570,21 @@ def cmd_sample(args):
 # -------------------------------------------------------------------- parser
 
 
-def _count(text):
-    """argparse type for a number of rows to draw: an int >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(low):
+    """argparse type for an integer >= ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -620,7 +629,7 @@ def build_parser():
         "--baseline", choices=("student-t", "gaussian"), default="student-t",
         help="'gaussian' freezes every dof at 1e6",
     )
-    p.add_argument("--plot-samples", type=_count, default=500)
+    p.add_argument("--plot-samples", type=_int_at_least(0), default=500)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on labeled data")
@@ -646,12 +655,12 @@ def build_parser():
     p.add_argument("--grid", required=True, help="JSON of key -> value list")
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("sample", help="draw from a trained generative model")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--count", type=_count, required=True)
+    p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)

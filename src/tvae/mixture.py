@@ -411,50 +411,62 @@ class GmmFit:
     log_likelihoods: list  # per-iteration total data log-likelihood
 
 
-def _gaussian_mix_log_pdfs(data, means, chols):
-    """(N, K) matrix of component log-densities via Cholesky solves."""
-    n, d = data.shape
-    k_count = means.shape[0]
-    out = np.empty((n, k_count))
-    for k in range(k_count):
-        chol = chols[k]
-        y = np.linalg.solve(chol, (data - means[k]).T)  # lower-triangular
-        maha = (y * y).sum(axis=0)
-        out[:, k] = -0.5 * (d * LN_2PI + maha) - np.log(np.diag(chol)).sum()
+def _gaussian_mix_log_pdfs(data_t, means, chols):
+    """(K, N) matrix of component log-densities.
+
+    ``data_t`` is the contiguous (D, N) transpose of the data, so every
+    elementwise pass runs along N. The K lower-triangular Cholesky factors
+    are inverted in one batched call; per component, y = L_k^-1 (x - mu_k)
+    is one matmul, the Mahalanobis term is the column sum of y^2 (never
+    negative) and the log-determinant comes from the factor's diagonal.
+    """
+    d, n = data_t.shape
+    inv_chols = np.linalg.inv(chols)
+    half_logdets = np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+    out = np.empty((means.shape[0], n))
+    for k, mean in enumerate(means):
+        y = inv_chols[k] @ (data_t - mean[:, None])
+        y *= y
+        out[k] = -0.5 * (d * LN_2PI + y.sum(axis=0)) - half_logdets[k]
     return out
 
 
-def _logsumexp_rows(a):
-    m = a.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))).ravel()
+def _logsumexp_columns(a):
+    m = a.max(axis=0)
+    return m + np.log(np.exp(a - m).sum(axis=0))
 
 
 def _kmeanspp_centers(data, k_count, rng):
+    """k-means++ seeding; ``d2`` is the running minimum of the squared
+    distances to the centers chosen so far."""
     n = data.shape[0]
     centers = [data[int(rng.integers(n))]]
+    d2 = ((data - centers[0]) ** 2).sum(axis=1)
     for _ in range(1, k_count):
-        d2 = np.min(
-            [((data - c) ** 2).sum(axis=1) for c in centers], axis=0
-        )
         total = d2.sum()
         if total <= 0.0:
-            centers.append(data[int(rng.integers(n))])
-            continue
-        r = rng.random() * total
-        centers.append(data[int(np.searchsorted(np.cumsum(d2), r))])
+            center = data[int(rng.integers(n))]
+        else:
+            r = rng.random() * total
+            center = data[int(np.searchsorted(np.cumsum(d2), r))]
+        centers.append(center)
+        if len(centers) < k_count:
+            np.minimum(d2, ((data - center) ** 2).sum(axis=1), out=d2)
     return np.array(centers)
 
 
 def _floor_spd(mat, floor):
-    """Project a symmetric matrix onto {Sigma : Sigma >= floor*I}.
+    """Project symmetric matrices onto {Sigma : Sigma >= floor*I}.
 
-    Eigenvalue clipping in the matrix's own eigenbasis is the exact
-    maximizer of the Gaussian M-step objective under that constraint, so
-    EM stays monotone even when the floor is active.
+    ``mat`` is one (D, D) matrix or a (..., D, D) stack, each projected on
+    its own. Eigenvalue clipping in the matrix's own eigenbasis is the
+    exact maximizer of the Gaussian M-step objective under that
+    constraint, so EM stays monotone even when the floor is active.
     """
-    sym = (mat + mat.T) / 2.0
+    sym = (mat + np.swapaxes(mat, -1, -2)) / 2.0
     eigval, eigvec = np.linalg.eigh(sym)
-    return (eigvec * np.maximum(eigval, floor)) @ eigvec.T
+    floored = eigvec * np.maximum(eigval, floor)[..., None, :]
+    return floored @ np.swapaxes(eigvec, -1, -2)
 
 
 def gmm_em_fit(data, k_count, rng, sigma_jitter_sq, iters=50, tol=1e-6, nu_init=5.0):
@@ -464,42 +476,54 @@ def gmm_em_fit(data, k_count, rng, sigma_jitter_sq, iters=50, tol=1e-6, nu_init=
     level so every factorization stays well-posed; a component that loses
     all its weight is re-seeded at a random data point. Stops when the
     total log-likelihood gain drops below ``tol`` or after ``iters`` rounds.
+
+    The O(D N) work runs per component on the (D, N) transpose of the data
+    (one component's temporaries alive at a time); the O(K D^2) work runs
+    once per iteration on the stack of all components.
     """
     data = np.asarray(data, dtype=np.float64)
     n, d = data.shape
     if n < k_count:
         raise ContractViolation(f"need at least K={k_count} rows, got {n}")
+    data_t = np.ascontiguousarray(data.T)
     means = _kmeanspp_centers(data, k_count, rng)
     global_cov = _floor_spd(np.cov(data.T, bias=True).reshape(d, d), sigma_jitter_sq)
     covs = np.stack([global_cov] * k_count)
     weights = np.full(k_count, 1.0 / k_count)
-    resp = np.full((n, k_count), 1.0 / k_count)
+    resp_t = np.full((k_count, n), 1.0 / k_count)  # responsibilities, (K, N)
     lls = []
     for _ in range(iters):
         chols = np.linalg.cholesky(covs)
-        scores = _gaussian_mix_log_pdfs(data, means, chols) + np.log(weights)
-        row_ll = _logsumexp_rows(scores)
+        scores = _gaussian_mix_log_pdfs(data_t, means, chols)
+        scores += np.log(weights)[:, None]
+        row_ll = _logsumexp_columns(scores)
         lls.append(float(row_ll.sum()))
-        resp = np.exp(scores - row_ll[:, None])
+        scores -= row_ll
+        resp_t = np.exp(scores, out=scores)
         if len(lls) > 1 and lls[-1] - lls[-2] < tol:
             break
-        counts = resp.sum(axis=0)
-        for k in range(k_count):
-            if counts[k] < 1e-8:  # dead component: re-seed and keep going
-                means[k] = data[int(rng.integers(n))]
-                covs[k] = global_cov
-                counts[k] = 1.0
-                resp[:, k] = 1.0 / n
-                continue
-            means[k] = resp[:, k] @ data / counts[k]
-            diff = data - means[k]
-            covs[k] = _floor_spd(
-                (resp[:, k] * diff.T) @ diff / counts[k], sigma_jitter_sq
-            )
+        counts = resp_t.sum(axis=1)
+        dead = counts < 1e-8
+        live = np.flatnonzero(~dead)
+        scatters = np.empty((live.size, d, d))
+        for i, k in enumerate(live):
+            means[k] = data_t @ resp_t[k] / counts[k]
+            diff = data_t - means[k][:, None]
+            scatters[i] = (diff * resp_t[k]) @ diff.T / counts[k]
+        covs[live] = _floor_spd(scatters, sigma_jitter_sq)
+        for k in np.flatnonzero(dead):  # dead component: re-seed, keep going
+            means[k] = data[int(rng.integers(n))]
+            covs[k] = global_cov
+            counts[k] = 1.0
+            resp_t[k] = 1.0 / n
         weights = counts / counts.sum()
 
     raw = raw_from_moments(weights, means, covs, sigma_jitter_sq, nu_init)
-    return GmmFit(raw=raw, responsibilities=resp, log_likelihoods=lls)
+    return GmmFit(
+        raw=raw,
+        responsibilities=np.ascontiguousarray(resp_t.T),
+        log_likelihoods=lls,
+    )
 
 
 def raw_from_moments(weights, means, covs, sigma_jitter_sq, nu_init=5.0):

@@ -2,6 +2,7 @@
 emitting the mean and log-standard-deviation of a diagonal Gaussian, plus
 reparameterized sampling."""
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,22 @@ class TwoHeadMlp:
             out[b.name] = b
         for t in (self.w_mu, self.b_mu, self.w_ls, self.b_ls):
             out[t.name] = t
+        return out
+
+    def detached(self):
+        """Shallow copy on constant weights: named constant Tensors that share
+        this network's arrays. Its forward builds no graph, so forward-only
+        callers keep no op's intermediates alive. Make a fresh copy per use:
+        an optimizer step installs new arrays in this network, not the copy."""
+
+        def const(t):
+            return Tensor(t.data, name=t.name)
+
+        out = copy.copy(self)
+        out._trunk = [(const(w), const(b)) for w, b in self._trunk]
+        out.w_mu, out.b_mu, out.w_ls, out.b_ls = map(
+            const, (self.w_mu, self.b_mu, self.w_ls, self.b_ls)
+        )
         return out
 
     def forward(self, x):

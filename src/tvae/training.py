@@ -1,11 +1,13 @@
-"""Training loop: Adam with gradient clipping, mixture warm start from a
-Gaussian-mixture fit of the initial latents, one closed-form ECM refit of
+"""Training loop: Adam with gradient clipping, a mixture warm start from the
+initial latents grouped by labels or by the hard assignments of a
+Gaussian-mixture fit to the observations, one closed-form ECM refit of
 the mixture at the end of every supervised epoch (unsupervised epochs stay
 gradient-only), per-epoch metrics, and bit-exact checkpointing.
 
 Forward-only requests (scoring, evaluation, sampling) build no autodiff
-graph: they use detached encoder outputs and one constant materialized
-mixture, rebuilt only after a raw mixture parameter has been replaced."""
+graph: the networks run on constant weights and the scores use one
+constant materialized mixture, rebuilt only after a raw mixture parameter
+has been replaced."""
 
 import json
 import time
@@ -276,7 +278,7 @@ class Trainer:
         self.decoder = TwoHeadMlp(dec_cfg, "dec", self.rng, cfg.log_std_clamp)
 
         latents = network.encoder_forward(
-            Tensor(observations), self.encoder
+            Tensor(observations), self.encoder.detached()
         ).mu_x.data
         # Warm-start assignments: labels when the mode may see them,
         # otherwise hard assignments of a mixture fit to the observations.
@@ -428,16 +430,16 @@ class Trainer:
     # ------------------------------------------------------------ evaluation
 
     def _encode(self, observations, chunk=2048):
-        """Forward-only encoder outputs, one detached EncoderStats per chunk
-        of rows, each made only when it is consumed (so one chunk's
-        activations are alive at a time). The outputs are constants, so
-        nothing computed from them keeps a graph."""
+        """Forward-only encoder outputs, one EncoderStats per chunk of rows,
+        each made only when it is consumed (so one chunk's activations are
+        alive at a time). The encoder runs on constant weights, so the
+        outputs are constants and nothing computed from them keeps a graph."""
         observations = np.asarray(observations, dtype=np.float64)
+        encoder = self.encoder.detached()
         for start in range(0, observations.shape[0], chunk):
-            stats = network.encoder_forward(
-                Tensor(observations[start : start + chunk]), self.encoder
+            yield network.encoder_forward(
+                Tensor(observations[start : start + chunk]), encoder
             )
-            yield network.EncoderStats(stats.mu_x.detach(), stats.log_std_x.detach())
 
     def _constant_mixture(self):
         """``materialize_params`` of constant copies of the raw mixture.
@@ -460,7 +462,7 @@ class Trainer:
     def predict_responsibilities(self, observations, chunk=2048, encoded=None):
         """(N, K) responsibilities without touching the optimizer state.
 
-        Builds no graph: detached encoder outputs scored against the
+        Builds no graph: constant encoder outputs scored against the
         constant mixture of ``_constant_mixture``. ``encoded`` is
         ``list(_encode(observations))`` when the caller already has it.
         """
@@ -511,7 +513,7 @@ class Trainer:
         labels, u, x = mixture.sample_generative(rng, params, count)
         if count == 0:
             return labels, u, x, np.empty((0, self.cfg.net.layer_dims[0]))
-        mu_o, log_std_o = self.decoder.forward(Tensor(x))
+        mu_o, log_std_o = self.decoder.detached().forward(Tensor(x))
         from .distributions import standard_normal_array
 
         noise = standard_normal_array(rng, mu_o.data.size).reshape(mu_o.shape)

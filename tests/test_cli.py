@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from tvae import cli
 from tvae import data as data_mod
 from tvae.cli import EXIT_VALIDATION, main
 
@@ -393,6 +394,67 @@ def test_gridsearch_rejects_unknown_grid_keys(workspace, tmp_path, capsys):
     )
     assert code == 1
     assert "learning_rate" in capsys.readouterr().err
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_gridsearch_pool_is_no_larger_than_the_grid(workspace, tmp_path, monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    grid = write_json(tmp_path / "g.json", {"l1_coeff": [0.001, 0.01]})
+    out_dir = tmp_path / "gs"
+    code = main(
+        [
+            "gridsearch",
+            "--config", workspace["config"],
+            "--grid", grid,
+            "--data", workspace["data"],
+            "--out-dir", str(out_dir),
+            "--jobs", "1000",
+        ]
+    )
+    assert code == 0
+    assert RecordingPool.sizes == [2]
+    assert len(open(out_dir / "results.csv").read().splitlines()) == 3
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_gridsearch_rejects_jobs_below_one(workspace, tmp_path, monkeypatch, capsys, jobs):
+    def no_cell(payload):
+        raise AssertionError("a grid cell ran")
+
+    monkeypatch.setattr(cli, "_run_grid_cell", no_cell)
+    grid = write_json(tmp_path / "g.json", {"l1_coeff": [0.001]})
+    out_dir = tmp_path / "gs"
+    code = main(
+        [
+            "gridsearch",
+            "--config", workspace["config"],
+            "--grid", grid,
+            "--data", workspace["data"],
+            "--out-dir", str(out_dir),
+            "--jobs", jobs,
+        ]
+    )
+    assert code == EXIT_VALIDATION
+    assert "--jobs" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # ------------------------------------------------------------------- sampling

@@ -2,6 +2,7 @@
 algebra, adaptive quadrature of the scale-mixture integral, Gaussian-limit
 E-step, and Monte-Carlo moment checks."""
 
+import copy
 import logging
 import math
 
@@ -14,6 +15,7 @@ from scipy.stats import gamma as sp_gamma
 from scipy.stats import multivariate_normal
 
 import tvae.distributions as dist
+from tvae import data as data_mod
 from tvae import mixture
 from tvae.errors import ContractViolation, DomainError, NumericFault
 from tvae.network import EncoderStats
@@ -496,6 +498,14 @@ def test_sample_generative_determinism():
 # ------------------------------------------------------------ EM warm start
 
 
+def blobs(rng, centers, n_each, scale):
+    """Isotropic Gaussian blobs, one block of ``n_each`` rows per center."""
+    centers = np.asarray(centers, dtype=np.float64)
+    return np.vstack(
+        [c + scale * rng.standard_normal((n_each, centers.shape[1])) for c in centers]
+    )
+
+
 def test_em_single_component_closed_form():
     rng = np.random.default_rng(5)
     data = rng.standard_normal((200, 3)) @ np.diag([1.0, 2.0, 0.5]) + [1, 2, 3]
@@ -509,10 +519,7 @@ def test_em_single_component_closed_form():
 def test_em_log_likelihood_is_monotone():
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        blob_means = np.array([[0.0, 0.0], [4.0, 4.0], [-4.0, 3.0]])
-        data = np.vstack(
-            [blob_means[i] + rng.standard_normal((80, 2)) for i in range(3)]
-        )
+        data = blobs(rng, [[0.0, 0.0], [4.0, 4.0], [-4.0, 3.0]], 80, 1.0)
         fit = mixture.gmm_em_fit(data, 3, rng, sigma_jitter_sq=1e-3)
         diffs = np.diff(fit.log_likelihoods)
         assert (diffs >= -1e-9).all()
@@ -520,7 +527,7 @@ def test_em_log_likelihood_is_monotone():
 
 def test_em_monotone_with_active_floor():
     rng = np.random.default_rng(300)
-    data = rng.standard_normal((120, 2)) * 0.1
+    data = blobs(rng, [[0.0, 0.0]], 120, 0.1)
     fit = mixture.gmm_em_fit(data, 3, rng, sigma_jitter_sq=0.5)
     assert (np.diff(fit.log_likelihoods) >= -1e-9).all()
     for k in range(3):
@@ -530,12 +537,7 @@ def test_em_monotone_with_active_floor():
 
 def test_em_separated_blobs_give_hard_assignments():
     rng = np.random.default_rng(413)
-    data = np.vstack(
-        [
-            np.array([0.0, 0.0]) + 0.2 * rng.standard_normal((100, 2)),
-            np.array([10.0, 10.0]) + 0.2 * rng.standard_normal((100, 2)),
-        ]
-    )
+    data = blobs(rng, [[0.0, 0.0], [10.0, 10.0]], 100, 0.2)
     fit = mixture.gmm_em_fit(data, 2, rng, sigma_jitter_sq=1e-3)
     assert fit.responsibilities.max(axis=1).min() > 0.999
     hard = fit.responsibilities.argmax(axis=1)
@@ -545,12 +547,7 @@ def test_em_separated_blobs_give_hard_assignments():
 
 def test_em_fit_is_consistent_with_its_own_e_step():
     rng = np.random.default_rng(414)
-    data = np.vstack(
-        [
-            np.array([0.0, 0.0]) + 0.5 * rng.standard_normal((150, 2)),
-            np.array([6.0, -6.0]) + 0.5 * rng.standard_normal((150, 2)),
-        ]
-    )
+    data = blobs(rng, [[0.0, 0.0], [6.0, -6.0]], 150, 0.5)
     fit = mixture.gmm_em_fit(data, 2, rng, sigma_jitter_sq=1e-3)
     assert len(fit.log_likelihoods) < 50  # converged, so params match resp
     params = mixture.materialize_params(fit.raw)
@@ -567,12 +564,7 @@ def test_em_fit_is_consistent_with_its_own_e_step():
 def test_em_survives_overparameterized_fit():
     for seed in range(3):
         rng = np.random.default_rng(500 + seed)
-        data = np.vstack(
-            [
-                rng.standard_normal((40, 2)) * 0.3,
-                np.array([5.0, 5.0]) + rng.standard_normal((40, 2)) * 0.3,
-            ]
-        )
+        data = blobs(rng, [[0.0, 0.0], [5.0, 5.0]], 40, 0.3)
         fit = mixture.gmm_em_fit(data, 4, rng, sigma_jitter_sq=1e-2)
         params = mixture.materialize_params(fit.raw)
         assert float(params.pi.data.sum()) == pytest.approx(1.0, abs=1e-9)
@@ -583,3 +575,137 @@ def test_em_rejects_too_few_rows():
     rng = np.random.default_rng(0)
     with pytest.raises(ContractViolation):
         mixture.gmm_em_fit(np.zeros((2, 2)), 3, rng, sigma_jitter_sq=0.1)
+
+
+# ------------------------------------------- EM warm start vs a plain reference
+
+
+def reference_kmeanspp(data, k_count, rng):
+    """k-means++ seeding that recomputes the distance to every center."""
+    n = data.shape[0]
+    centers = [data[int(rng.integers(n))]]
+    for _ in range(1, k_count):
+        d2 = np.min([((data - c) ** 2).sum(axis=1) for c in centers], axis=0)
+        total = d2.sum()
+        if total <= 0.0:
+            centers.append(data[int(rng.integers(n))])
+            continue
+        r = rng.random() * total
+        centers.append(data[int(np.searchsorted(np.cumsum(d2), r))])
+    return np.array(centers)
+
+
+def reference_floor_spd(mat, floor):
+    """Eigenvalue floor of one symmetric matrix."""
+    eigval, eigvec = np.linalg.eigh((mat + mat.T) / 2.0)
+    return (eigvec * np.maximum(eigval, floor)) @ eigvec.T
+
+
+def reference_em(data, k_count, rng, jitter, seeding, iters=50, tol=1e-6):
+    """The warm-start EM written plainly on the (N, D) layout: a general
+    solve and a floor per component. Returns (responsibilities,
+    log-likelihoods, number of dead components re-seeded)."""
+    n, d = data.shape
+    means = seeding(data, k_count, rng)
+    global_cov = reference_floor_spd(np.cov(data.T, bias=True).reshape(d, d), jitter)
+    covs = np.stack([global_cov] * k_count)
+    weights = np.full(k_count, 1.0 / k_count)
+    lls, reseeds = [], 0
+    for _ in range(iters):
+        scores = np.empty((n, k_count))
+        for k in range(k_count):
+            chol = np.linalg.cholesky(covs[k])
+            y = np.linalg.solve(chol, (data - means[k]).T)
+            scores[:, k] = -0.5 * (d * LN_2PI + (y * y).sum(axis=0)) - np.log(
+                np.diag(chol)
+            ).sum()
+        scores += np.log(weights)
+        top = scores.max(axis=1, keepdims=True)
+        row_ll = (top + np.log(np.exp(scores - top).sum(axis=1, keepdims=True))).ravel()
+        lls.append(float(row_ll.sum()))
+        resp = np.exp(scores - row_ll[:, None])
+        if len(lls) > 1 and lls[-1] - lls[-2] < tol:
+            break
+        counts = resp.sum(axis=0)
+        for k in range(k_count):
+            if counts[k] < 1e-8:
+                means[k] = data[int(rng.integers(n))]
+                covs[k] = global_cov
+                counts[k] = 1.0
+                resp[:, k] = 1.0 / n
+                reseeds += 1
+                continue
+            means[k] = resp[:, k] @ data / counts[k]
+            diff = data - means[k]
+            covs[k] = reference_floor_spd((resp[:, k] * diff.T) @ diff / counts[k], jitter)
+        weights = counts / counts.sum()
+    return resp, lls, reseeds
+
+
+def assert_em_matches_reference(data, k_count, rng, jitter, seeding=reference_kmeanspp):
+    """Fit from a copy of ``rng``; returns the reference's re-seed count."""
+    ref_rng = copy.deepcopy(rng)
+    resp, lls, reseeds = reference_em(data, k_count, ref_rng, jitter, seeding)
+    fit = mixture.gmm_em_fit(data, k_count, rng, jitter)
+    assert len(fit.log_likelihoods) == len(lls)
+    assert np.array_equal(fit.responsibilities.argmax(axis=1), resp.argmax(axis=1))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.abs(fit.responsibilities - resp).max() < 1e-9
+    assert np.abs(np.subtract(fit.log_likelihoods, lls)).max() < 1e-9
+    return reseeds
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_em_matches_reference_on_pinwheel(seed):
+    rng = np.random.default_rng(seed)
+    ds = data_mod.gen_pinwheel(rng, arms=5, points_per_arm=400)
+    assert_em_matches_reference(ds.observations, 5, rng, 0.01)
+
+
+@pytest.mark.parametrize(
+    "seed, centers, n_each, scale, k_count, jitter",
+    [(100 + s, [[0.0, 0.0], [4.0, 4.0], [-4.0, 3.0]], 80, 1.0, 3, 1e-3) for s in range(5)]
+    + [
+        (300, [[0.0, 0.0]], 120, 0.1, 3, 0.5),
+        (413, [[0.0, 0.0], [10.0, 10.0]], 100, 0.2, 2, 1e-3),
+        (414, [[0.0, 0.0], [6.0, -6.0]], 150, 0.5, 2, 1e-3),
+    ]
+    + [(500 + s, [[0.0, 0.0], [5.0, 5.0]], 40, 0.3, 4, 1e-2) for s in range(3)]
+    + [(600, np.eye(6)[:3] * 4.0, 60, 1.0, 4, 1e-2)],
+)
+def test_em_matches_reference_on_blobs(seed, centers, n_each, scale, k_count, jitter):
+    rng = np.random.default_rng(seed)
+    data = blobs(rng, centers, n_each, scale)
+    assert_em_matches_reference(data, k_count, rng, jitter)
+
+
+def test_em_reseeds_a_dead_component_like_the_reference(monkeypatch):
+    def far_seeding(data, k_count, rng):
+        centers = reference_kmeanspp(data, k_count, rng)
+        centers[1] = data.mean(axis=0) + 1e3  # no row ever claims this one
+        return centers
+
+    monkeypatch.setattr(mixture, "_kmeanspp_centers", far_seeding)
+    rng = np.random.default_rng(7)
+    ds = data_mod.gen_pinwheel(rng, arms=5, points_per_arm=100)
+    assert assert_em_matches_reference(ds.observations, 5, rng, 0.01, far_seeding) >= 1
+
+
+def test_kmeanspp_matches_the_recomputing_reference():
+    rng = np.random.default_rng(8)
+    data = blobs(rng, [[0.0, 0.0], [3.0, 1.0], [-2.0, 4.0]], 50, 0.7)
+    ref_rng = copy.deepcopy(rng)
+    got = mixture._kmeanspp_centers(data, 12, rng)
+    assert np.array_equal(got, reference_kmeanspp(data, 12, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_floor_spd_on_a_stack_equals_per_matrix_calls(d):
+    rng = np.random.default_rng(d)
+    factors = rng.standard_normal((6, d, d)) * np.geomspace(0.01, 3.0, d)
+    mats = factors @ factors.transpose(0, 2, 1) + 1e-3 * rng.standard_normal((6, d, d))
+    stacked = mixture._floor_spd(mats, 0.05)
+    assert np.array_equal(stacked, np.stack([mixture._floor_spd(m, 0.05) for m in mats]))
+    assert np.array_equal(stacked[0], reference_floor_spd(mats[0], 0.05))
+    assert np.linalg.eigvalsh(stacked).min() >= 0.05 - 1e-12

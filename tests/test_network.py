@@ -82,6 +82,21 @@ def test_rows_are_processed_independently():
     assert np.array_equal(ls_same.data, np.tile(ls_same.data[0], (4, 1)))
 
 
+def test_detached_copy_runs_the_same_forward_on_constants():
+    net = small_net(dims=(3, 5, 4, 2), act="relu", seed=24)
+    x = np.random.default_rng(25).standard_normal((7, 3))
+    frozen = net.detached()
+    assert frozen.prefix == net.prefix
+    for name, p in frozen.params().items():
+        assert not p.requires_grad and p.data is net.params()[name].data
+    want, got = net.forward(x), frozen.forward(x)
+    assert all(t.requires_grad for t in want)
+    for w, g in zip(want, got):
+        assert not g.requires_grad and not g._parents
+        assert np.array_equal(w.data, g.data)
+    assert all(p.requires_grad for p in net.params().values())
+
+
 def test_log_std_clamp_saturates():
     net = small_net()
     net.b_ls.assign_(np.array([20.0, -20.0]))
