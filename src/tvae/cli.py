@@ -547,13 +547,8 @@ def cmd_gridsearch(args):
 
 def cmd_sample(args):
     path = _resolve(args.checkpoint)
-    try:
-        state = training.read_checkpoint(path)
-    except OSError as exc:
-        raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(state, dict) or "config" not in state:
+    state = training.read_checkpoint(path)
+    if "config" not in state:
         raise ValidationError(f"checkpoint {path} is missing its config echo")
     input_dim = int(state["config"]["net"]["layer_dims"][0])
     needs_labels = state["config"]["mode"]["kind"] != "unsupervised"

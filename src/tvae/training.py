@@ -9,7 +9,10 @@ graph: the networks run on constant weights and the scores use one
 constant materialized mixture, rebuilt only after a raw mixture parameter
 has been replaced."""
 
+import base64
+import binascii
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,7 +29,7 @@ from .tensor import GradientMap, Tensor, evaluate_and_grad
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 FROZEN_DOF = 1e6  # Gaussian-limit baseline: dof pinned here and not trained
 
 
@@ -243,6 +246,7 @@ class Trainer:
         dec_dims = tuple(reversed(cfg.net.layer_dims))
         dec_cfg = MlpConfig(dec_dims, cfg.net.activation)
         if _restore is not None:
+            # a skeleton: restore_checkpoint assigns every saved array
             self.rng = _restore["rng"]
             self.encoder = TwoHeadMlp(
                 cfg.net, "enc", np.random.default_rng(0), cfg.log_std_clamp
@@ -258,16 +262,7 @@ class Trainer:
                 c_logdiag=np.zeros((cfg.n_components, cfg.latent_dim)),
                 sigma_jitter_sq=cfg.sigma_jitter_sq,
             )
-            for name, values in _restore["params"].items():
-                p = self.params()[name]
-                p.assign_(np.asarray(values, dtype=np.float64).reshape(p.shape))
             self.moments = {}
-            for name, (m, v) in _restore["moments"].items():
-                shape = self.params()[name].shape
-                self.moments[name] = (
-                    np.asarray(m, dtype=np.float64).reshape(shape),
-                    np.asarray(v, dtype=np.float64).reshape(shape),
-                )
             self.step = _restore["step"]
             self.epoch = _restore["epoch"]
             self.warm_weights = _restore["warm_weights"]
@@ -571,22 +566,71 @@ def config_from_dict(raw):
     )
 
 
+CHECKPOINT_KEYS = (
+    "version", "config", "epoch", "step", "params", "moments", "warm_weights",
+    "rng_state",
+)
+ARRAY_DTYPE = "<f8"
+
+
+def encode_array(values):
+    """A float array as JSON: dtype, shape and the base64 of its
+    little-endian float64 bytes, which round-trip every value exactly."""
+    arr = np.ascontiguousarray(values, dtype=ARRAY_DTYPE)
+    return {
+        "dtype": ARRAY_DTYPE,
+        "shape": list(arr.shape),
+        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+    }
+
+
+def decode_array(obj, name="array", shape=None):
+    """Inverse of ``encode_array``; a malformed object, or a shape other
+    than ``shape`` when one is given, raises ``ValidationError`` naming
+    ``name``."""
+    if not isinstance(obj, dict) or obj.get("dtype") != ARRAY_DTYPE:
+        raise ValidationError(f"checkpoint {name} is not a {ARRAY_DTYPE} array")
+    saved = obj.get("shape")
+    if not isinstance(saved, list) or not all(
+        type(n) is int and n >= 0 for n in saved
+    ):
+        raise ValidationError(f"checkpoint {name} has an invalid shape {saved!r}")
+    if shape is not None and tuple(saved) != tuple(shape):
+        raise ValidationError(
+            f"checkpoint {name} has shape {tuple(saved)}, expected {tuple(shape)}"
+        )
+    try:
+        raw = base64.b64decode(obj.get("data"), validate=True)
+    except (TypeError, binascii.Error) as exc:
+        raise ValidationError(f"checkpoint {name} data is not base64: {exc}") from exc
+    expected = 8 * math.prod(saved)
+    if len(raw) != expected:
+        raise ValidationError(
+            f"checkpoint {name} holds {len(raw)} bytes, expected {expected}"
+        )
+    return np.frombuffer(raw, dtype=ARRAY_DTYPE).astype(np.float64).reshape(saved)
+
+
 def save_checkpoint(trainer, path):
     """Versioned JSON snapshot: config echo, parameters, Adam moments,
-    progress counters, warm-start weights, and the exact rng state."""
+    progress counters, warm-start weights, and the exact rng state.
+
+    Every float array is written by ``encode_array`` (raw float64 bytes in
+    base64), so a restore gets back every bit, and same-seed runs write
+    byte-identical files."""
     state = {
         "version": CHECKPOINT_VERSION,
         "config": _config_to_dict(trainer.cfg),
         "epoch": trainer.epoch,
         "step": trainer.step,
         "params": {
-            name: p.data.ravel().tolist() for name, p in trainer.params().items()
+            name: encode_array(p.data) for name, p in trainer.params().items()
         },
         "moments": {
-            name: [m.ravel().tolist(), v.ravel().tolist()]
+            name: [encode_array(m), encode_array(v)]
             for name, (m, v) in trainer.moments.items()
         },
-        "warm_weights": trainer.warm_weights.tolist(),
+        "warm_weights": encode_array(trainer.warm_weights),
         "rng_state": trainer.rng.bit_generator.state,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -596,32 +640,79 @@ def save_checkpoint(trainer, path):
 
 
 def read_checkpoint(path):
-    """The parsed JSON of a checkpoint file; ``restore_checkpoint`` checks it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON object of a checkpoint file, arrays still encoded;
+    ``restore_checkpoint`` checks and decodes it. An unreadable file or
+    one that is not a JSON object raises ``ValidationError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            state = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(state, dict):
+        raise ValidationError(f"checkpoint {path} is not a JSON object")
+    return state
 
 
 def restore_checkpoint(state, observations, labels):
     """Rebuild a Trainer from ``read_checkpoint``'s result; its next step
-    matches the saved run bit-exactly."""
+    matches the saved run bit-exactly.
+
+    The checkpoint must hold exactly the configured model's parameters,
+    moments only for those, and every array at its parameter's shape;
+    anything else raises ``ValidationError`` naming the array."""
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValidationError(
             f"unsupported checkpoint version {version!r} "
             f"(expected {CHECKPOINT_VERSION})"
         )
+    missing = [key for key in CHECKPOINT_KEYS if key not in state]
+    if missing:
+        raise ValidationError(f"checkpoint is missing {', '.join(missing)}")
     cfg = config_from_dict(state["config"])
     bit_gen = np.random.PCG64()
-    bit_gen.state = state["rng_state"]
+    try:
+        bit_gen.state = state["rng_state"]
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValidationError(f"checkpoint rng_state is invalid: {exc}") from exc
+    warm_weights = decode_array(state["warm_weights"], "warm_weights")
+    if warm_weights.ndim != 2 or warm_weights.shape[1] != cfg.n_components:
+        raise ValidationError(
+            f"checkpoint warm_weights has shape {warm_weights.shape}, expected "
+            f"(rows, {cfg.n_components})"
+        )
     restore = {
         "rng": np.random.Generator(bit_gen),
-        "params": state["params"],
-        "moments": state["moments"],
         "step": int(state["step"]),
         "epoch": int(state["epoch"]),
-        "warm_weights": np.asarray(state["warm_weights"], dtype=np.float64),
+        "warm_weights": warm_weights,
     }
-    return Trainer(observations, labels, cfg, _restore=restore)
+    trainer = Trainer(observations, labels, cfg, _restore=restore)
+
+    params = trainer.params()
+    saved, moments = state["params"], state["moments"]
+    if not isinstance(saved, dict) or not isinstance(moments, dict):
+        raise ValidationError("checkpoint params and moments must be objects")
+    unknown = sorted(saved.keys() - params.keys())
+    if unknown:
+        raise ValidationError(f"checkpoint has unknown parameters {unknown}")
+    for name, p in params.items():
+        if name not in saved:
+            raise ValidationError(f"checkpoint is missing parameter {name!r}")
+        p.assign_(decode_array(saved[name], f"params[{name!r}]", p.shape))
+    for name, pair in moments.items():
+        if name not in params:
+            raise ValidationError(f"checkpoint has moments for unknown {name!r}")
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(f"checkpoint moments[{name!r}] is not a pair")
+        shape = params[name].shape
+        trainer.moments[name] = tuple(
+            decode_array(arr, f"moments[{name!r}][{i}]", shape)
+            for i, arr in enumerate(pair)
+        )
+    return trainer
 
 
 def load_checkpoint(path, observations, labels):

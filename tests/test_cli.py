@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from tvae import cli
+from tvae import cli, training
 from tvae import data as data_mod
 from tvae.cli import EXIT_VALIDATION, main
 
@@ -245,7 +245,7 @@ def test_gaussian_baseline_freezes_dof(workspace, tmp_path):
     assert code == 0
     state = json.load(open(os.path.join(run, "checkpoint.json")))
     assert state["config"]["freeze_dof"] is True
-    raw_dof = np.array(state["params"]["mix.n"])
+    raw_dof = training.decode_array(state["params"]["mix.n"])
     assert np.all(raw_dof == 1e6)
 
 
@@ -512,6 +512,34 @@ def test_sample_rejects_corrupt_checkpoint(workspace, tmp_path, capsys):
     not_json = write_json(tmp_path / "not_ckpt.json", {"hello": 1})
     code = main(["sample", "--checkpoint", not_json, "--count", "1", "--seed", "1", "--out", str(tmp_path / "y.csv")])
     assert code == 1
+
+
+def unreadable_checkpoints(workspace, tmp_path):
+    """(expected message, path) for a missing file, a non-JSON file and one
+    without params."""
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{not json")
+    state = json.load(open(os.path.join(workspace["run"], "checkpoint.json")))
+    del state["params"]
+    no_params = write_json(tmp_path / "no_params.json", state)
+    return [
+        ("cannot read checkpoint", str(tmp_path / "missing.json")),
+        ("is not valid JSON", str(not_json)),
+        ("missing params", no_params),
+    ]
+
+
+def test_eval_and_sample_reject_unreadable_checkpoints(workspace, tmp_path, capsys):
+    for message, path in unreadable_checkpoints(workspace, tmp_path):
+        commands = [
+            ["eval", "--checkpoint", path, "--data", workspace["data"]],
+            ["sample", "--checkpoint", path, "--count", "1", "--seed", "1",
+             "--out", str(tmp_path / "s.csv")],
+        ]
+        for argv in commands:
+            assert main(argv) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
 
 
 # -------------------------------------------------------------- output rooting

@@ -356,6 +356,123 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         training.load_checkpoint(path, obs, labels)
 
 
+def test_checkpoint_rejects_version_one(tmp_path):
+    obs, labels = two_blobs()
+    trainer = training.Trainer(obs, labels, base_config(epochs=0))
+    path = tmp_path / "ckpt.json"
+    training.save_checkpoint(trainer, path)
+    state = json.loads(path.read_text())
+    state["version"] = 1
+    with pytest.raises(ValidationError, match=r"version 1 \(expected 2\)"):
+        training.restore_checkpoint(state, obs, labels)
+
+
+def bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+def test_checkpoint_round_trips_extreme_floats_bitwise(tmp_path):
+    obs, labels = two_blobs()
+    trainer = training.Trainer(obs, labels, base_config(epochs=1))
+    trainer.train_epochs(1)
+    extremes = np.array([-0.0, 5e-324, 1e308, -5e-324])
+    p = trainer.params()["enc.W0"]
+    flat = p.data.ravel().copy()
+    flat[:4] = extremes
+    p.assign_(flat.reshape(p.shape))
+    m, v = trainer.moments["mix.mu"]
+    m = m.copy()
+    m.ravel()[:4] = extremes
+    trainer.moments["mix.mu"] = (m, v)
+    path = tmp_path / "ckpt.json"
+    training.save_checkpoint(trainer, path)
+    loaded = training.load_checkpoint(path, obs, labels)
+    assert np.signbit(loaded.params()["enc.W0"].data.ravel()[0])
+    for name, q in trainer.params().items():
+        assert bits(loaded.params()[name].data) == bits(q.data)
+    assert list(loaded.moments) == list(trainer.moments)
+    for name, (m, v) in trainer.moments.items():
+        assert bits(loaded.moments[name][0]) == bits(m)
+        assert bits(loaded.moments[name][1]) == bits(v)
+    assert bits(loaded.warm_weights) == bits(trainer.warm_weights)
+
+
+def test_checkpoint_layout_and_same_seed_bytes(tmp_path):
+    obs, labels = two_blobs()
+    paths = []
+    for i in range(2):
+        trainer = training.Trainer(obs, labels, base_config(epochs=1))
+        trainer.train_epochs(1)
+        paths.append(tmp_path / f"ckpt{i}.json")
+        training.save_checkpoint(trainer, paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    state = json.loads(paths[0].read_text())
+    assert list(state) == [
+        "version", "config", "epoch", "step", "params", "moments",
+        "warm_weights", "rng_state",
+    ]
+    assert state["version"] == 2
+    w0 = state["params"]["enc.W0"]
+    assert list(w0) == ["dtype", "shape", "data"]
+    assert w0["dtype"] == "<f8" and w0["shape"] == [2, 16]
+    assert np.array_equal(
+        training.decode_array(w0), trainer.params()["enc.W0"].data
+    )
+
+
+def drop_param(state):
+    del state["params"]["enc.W0"]
+
+
+def add_param(state):
+    state["params"]["enc.W9"] = state["params"]["enc.b0"]
+
+
+def reshape_param(state):
+    state["params"]["enc.W0"]["shape"] = [16, 2]
+
+
+def truncate_param(state):
+    arr = state["params"]["enc.W0"]
+    arr["data"] = arr["data"][:-8]
+
+
+def retype_param(state):
+    state["params"]["enc.W0"]["dtype"] = "<f4"
+
+
+def reshape_moment(state):
+    state["moments"]["enc.W0"][1]["shape"] = [32]
+
+
+def add_moment(state):
+    state["moments"]["enc.W9"] = state["moments"]["enc.b0"]
+
+
+def drop_params(state):
+    del state["params"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        drop_param, add_param, reshape_param, truncate_param, retype_param,
+        reshape_moment, add_moment, drop_params,
+    ],
+)
+def test_checkpoint_restore_rejects_mismatched_arrays(tmp_path, corrupt):
+    obs, labels = two_blobs()
+    trainer = training.Trainer(obs, labels, base_config(epochs=1))
+    trainer.train_epochs(1)
+    path = tmp_path / "ckpt.json"
+    training.save_checkpoint(trainer, path)
+    state = json.loads(path.read_text())
+    corrupt(state)
+    name = "params" if corrupt is drop_params else "enc.W"
+    with pytest.raises(ValidationError, match=name):
+        training.restore_checkpoint(state, obs, labels)
+
+
 def test_sample_shapes_and_determinism():
     obs, labels = two_blobs()
     trainer = training.Trainer(obs, labels, base_config(epochs=0))
