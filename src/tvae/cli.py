@@ -550,9 +550,9 @@ def cmd_sample(args):
     state = training.read_checkpoint(path)
     if "config" not in state:
         raise ValidationError(f"checkpoint {path} is missing its config echo")
-    input_dim = int(state["config"]["net"]["layer_dims"][0])
-    needs_labels = state["config"]["mode"]["kind"] != "unsupervised"
-    stub_obs = np.zeros((1, input_dim))
+    cfg = training.config_from_dict(state["config"])
+    needs_labels = cfg.mode.kind != "unsupervised"
+    stub_obs = np.zeros((1, cfg.net.layer_dims[0]))
     stub_labels = np.zeros(1, dtype=np.int64) if needs_labels else None
     trainer = training.restore_checkpoint(state, stub_obs, stub_labels)
     clusters, u, x, obs = trainer.sample(args.count, np.random.default_rng(args.seed))

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractViolation, ValidationError
 
@@ -305,6 +304,51 @@ def kfold_split(dataset, folds=5, label_fraction=1.0, rng=None):
 # --------------------------------------------------------- cluster matching
 
 
+def _max_weight_assignment(weights):
+    """Column matched to each row of a square matrix, maximising the
+    matched sum: the Hungarian method as shortest augmenting paths with
+    row and column potentials (Kuhn 1955, Munkres 1957), O(K^3).
+
+    Rows join one at a time. Each search grows a tree of reduced costs
+    from the new row until it reaches a free column, then flips the
+    matching along that path. Whole-number weights keep every potential a
+    whole number, so the optimum is exact.
+    """
+    k = weights.shape[0]
+    # Index 0 is a virtual column, the root of each search; it costs inf.
+    cost = np.full((k + 1, k + 1), np.inf)
+    cost[1:, 1:] = -weights
+    row_pot = np.zeros(k + 1)
+    col_pot = np.zeros(k + 1)
+    row_of = np.zeros(k + 1, dtype=np.int64)  # 1-based row on each column, 0 = free
+    came_from = np.zeros(k + 1, dtype=np.int64)
+    for row in range(1, k + 1):
+        row_of[0] = row
+        col = 0
+        slack = np.full(k + 1, np.inf)
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[col] != 0:
+            used[col] = True
+            i = row_of[col]
+            reduced = cost[i] - row_pot[i] - col_pot
+            closer = ~used & (reduced < slack)
+            slack[closer] = reduced[closer]
+            came_from[closer] = col
+            candidates = np.where(used, np.inf, slack)
+            col = int(np.argmin(candidates))
+            delta = candidates[col]
+            row_pot[row_of[used]] += delta
+            col_pot[used] -= delta
+            slack[~used] -= delta
+        while col:  # flip the matching along the augmenting path
+            prev = came_from[col]
+            row_of[col] = row_of[prev]
+            col = prev
+    mapping = np.empty(k, dtype=np.int64)
+    mapping[row_of[1:] - 1] = np.arange(k)
+    return mapping
+
+
 def match_clusters_to_classes(confusion):
     """Best one-to-one cluster->class mapping and its accuracy.
 
@@ -316,9 +360,8 @@ def match_clusters_to_classes(confusion):
         raise ValidationError(f"confusion must be square, got {confusion.shape}")
     if (confusion < 0).any():
         raise ValidationError("confusion counts must be non-negative")
-    rows, cols = linear_sum_assignment(confusion, maximize=True)
-    mapping = np.empty(confusion.shape[0], dtype=np.int64)
-    mapping[rows] = cols
+    mapping = _max_weight_assignment(confusion)
+    rows, cols = np.arange(mapping.size), mapping
     total = confusion.sum()
     accuracy = float(confusion[rows, cols].sum() / total) if total > 0 else 0.0
     return mapping, accuracy

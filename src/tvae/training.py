@@ -14,7 +14,7 @@ import binascii
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -555,15 +555,49 @@ def _config_to_dict(cfg):
     }
 
 
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _checked_keys(obj, keys, name):
+    """``obj`` if it is a JSON object with exactly ``keys``; otherwise a
+    ``ValidationError`` naming ``name`` and the offending keys."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"checkpoint {name} is not an object")
+    unknown = sorted(obj.keys() - set(keys))
+    if unknown:
+        raise ValidationError(f"checkpoint {name} has unknown keys {unknown}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValidationError(f"checkpoint {name} is missing {', '.join(missing)}")
+    return obj
+
+
 def config_from_dict(raw):
-    raw = dict(raw)
-    net = raw.pop("net")
-    mode = raw.pop("mode")
-    return TrainConfig(
-        net=MlpConfig(tuple(net["layer_dims"]), net["activation"]),
-        mode=TrainingMode(mode["kind"], mode.get("supervised_epochs", 0)),
-        **raw,
-    )
+    """Inverse of ``_config_to_dict``. A missing or unknown key, a value of
+    the wrong JSON type, or a value ``TrainConfig`` rejects raises
+    ``ValidationError`` naming the field."""
+    raw = dict(_checked_keys(raw, [f.name for f in fields(TrainConfig)], "config"))
+    for f in fields(TrainConfig):
+        allowed = _JSON_TYPES.get(f.type)
+        value = raw[f.name]
+        if allowed and (
+            isinstance(value, bool) != (f.type is bool)
+            or not isinstance(value, allowed)
+        ):
+            raise ValidationError(
+                f"checkpoint config {f.name} must be of type "
+                f"{f.type.__name__}, got {value!r}"
+            )
+    net = _checked_keys(raw.pop("net"), ("layer_dims", "activation"), "config net")
+    mode = _checked_keys(raw.pop("mode"), ("kind", "supervised_epochs"), "config mode")
+    try:
+        return TrainConfig(
+            net=MlpConfig(tuple(net["layer_dims"]), net["activation"]),
+            mode=TrainingMode(mode["kind"], mode["supervised_epochs"]),
+            **raw,
+        )
+    except (TypeError, ValueError, ContractViolation) as exc:
+        raise ValidationError(f"checkpoint config is invalid: {exc}") from exc
 
 
 CHECKPOINT_KEYS = (
@@ -683,10 +717,16 @@ def restore_checkpoint(state, observations, labels):
             f"checkpoint warm_weights has shape {warm_weights.shape}, expected "
             f"(rows, {cfg.n_components})"
         )
+    for counter in ("step", "epoch"):
+        value = state[counter]
+        if type(value) is not int or value < 0:
+            raise ValidationError(
+                f"checkpoint {counter} must be a non-negative integer, got {value!r}"
+            )
     restore = {
         "rng": np.random.Generator(bit_gen),
-        "step": int(state["step"]),
-        "epoch": int(state["epoch"]),
+        "step": state["step"],
+        "epoch": state["epoch"],
         "warm_weights": warm_weights,
     }
     trainer = Trainer(observations, labels, cfg, _restore=restore)

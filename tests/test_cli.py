@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tvae
 from tvae import cli, training
 from tvae import data as data_mod
 from tvae.cli import EXIT_VALIDATION, main
@@ -540,6 +543,77 @@ def test_eval_and_sample_reject_unreadable_checkpoints(workspace, tmp_path, caps
             assert main(argv) == EXIT_VALIDATION
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err
+
+
+def set_config(key, value):
+    return lambda state: state["config"].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "message, corrupt",
+    [
+        ("config is missing net", lambda state: state["config"].pop("net")),
+        ("config is missing mode", lambda state: state["config"].pop("mode")),
+        ("config net is missing activation",
+         lambda state: state["config"]["net"].pop("activation")),
+        ("config has unknown keys ['hidden']", set_config("hidden", 3)),
+        ("config stepsize must be of type float", set_config("stepsize", "fast")),
+        ("config seed must be of type int", set_config("seed", 1.5)),
+        ("grad_clip must be positive", set_config("grad_clip", -1.0)),
+        ("unknown training mode 'guided'", set_config("mode", {
+            "kind": "guided", "supervised_epochs": 0})),
+        ("step must be a non-negative integer", lambda state: state.update(step="12x")),
+        ("epoch must be a non-negative integer", lambda state: state.update(epoch=1.5)),
+    ],
+)
+def test_eval_and_sample_reject_a_bad_config_echo_or_counter(
+    workspace, tmp_path, capsys, message, corrupt
+):
+    state = json.load(open(os.path.join(workspace["run"], "checkpoint.json")))
+    corrupt(state)
+    path = write_json(tmp_path / "bad.json", state)
+    commands = [
+        ["eval", "--checkpoint", path, "--data", workspace["data"]],
+        ["sample", "--checkpoint", path, "--count", "1", "--seed", "1",
+         "--out", str(tmp_path / "s.csv")],
+    ]
+    for argv in commands:
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+RUNTIME_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+import tvae.cli
+from tvae import data, distributions, training
+from tvae.network import MlpConfig
+
+ds = data.gen_pinwheel(np.random.default_rng(0), arms=3, points_per_arm=30)
+cfg = training.TrainConfig(
+    net=MlpConfig((2, 8, 2), "tanh"), latent_dim=2, n_components=3, epochs=1,
+    batch_size=45, warm_start_iters=2,
+)
+trainer = training.train(ds.observations, None, cfg).trainer
+error, _ = trainer.evaluate(ds.observations, ds.labels)
+assert 0.0 <= error <= 1.0
+distributions.student_t_log_pdf(
+    np.ones(2), distributions.StudentT(np.zeros(2), np.eye(2), 3.0)
+)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_runtime_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tvae.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNTIME_WITHOUT_SCIPY],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -------------------------------------------------------------- output rooting

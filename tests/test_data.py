@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from tvae import data
 from tvae.errors import ValidationError
@@ -295,6 +296,26 @@ def test_matching_agrees_with_brute_force():
             assert got == best
             assert acc == pytest.approx(best / confusion.sum())
             assert sorted(mapping) == list(range(k))
+
+
+def test_matching_equals_scipy_on_random_counts():
+    rng = np.random.default_rng(19)
+    for k in range(1, 31):
+        cases = [np.zeros((k, k))]
+        for high in (1, 2, 5, 40, 40, 400):  # small ranges give many ties
+            confusion = rng.integers(0, high + 1, (k, k)).astype(float)
+            if high == 40:
+                confusion[rng.integers(k)] = 0
+                confusion[:, rng.integers(k)] = 0
+            cases.append(confusion)
+        for confusion in cases:
+            mapping, acc = data.match_clusters_to_classes(confusion)
+            rows, cols = linear_sum_assignment(confusion, maximize=True)
+            total = confusion.sum()
+            want = float(confusion[rows, cols].sum() / total) if total > 0 else 0.0
+            assert sorted(mapping) == list(range(k))
+            assert confusion[np.arange(k), mapping].sum() == confusion[rows, cols].sum()
+            assert acc == want
 
 
 def test_matching_validation():
