@@ -22,8 +22,11 @@ feeds the cross-entropy part of the lower bound.
 
 Everything here runs on the autodiff graph so gradients reach both the
 encoder outputs and the raw mixture parameters, except the numpy-only
-helpers: the GMM warm start and the closed-form refit of the mixture to
-labeled latents (``refit_labeled`` with its dof solve ``solve_dof``).
+helpers: the scoring E-step (``scoring_constants`` and
+``score_responsibilities``, which repeat the graph's operations in its
+order and so give bit-identical responsibilities), the GMM warm start and
+the closed-form refit of the mixture to labeled latents (``refit_labeled``
+with its dof solve ``solve_dof``).
 """
 
 import logging
@@ -214,33 +217,49 @@ def compute_beta(enc, params):
     return stack(cols, axis=1)
 
 
-def _log_beta(beta):
-    """ln beta with an underflow guard; a clamp hit is logged, not fatal."""
-    if (beta.data < BETA_UNDERFLOW_GUARD).any():
-        n_idx, k_idx = np.unravel_index(np.argmin(beta.data), beta.data.shape)
+def _warn_beta_underflow(beta):
+    """Log the smallest entry of the (N, K) array ``beta`` when it falls
+    below the underflow guard; a clamp hit is not fatal."""
+    if (beta < BETA_UNDERFLOW_GUARD).any():
+        n_idx, k_idx = np.unravel_index(np.argmin(beta), beta.shape)
         log.warning(
             "beta underflow clamped at (n=%d, k=%d): %.3e",
             n_idx,
             k_idx,
-            float(beta.data[n_idx, k_idx]),
+            float(beta[n_idx, k_idx]),
         )
+
+
+def _log_beta(beta):
+    """ln beta with an underflow guard; a clamp hit is logged, not fatal."""
+    _warn_beta_underflow(beta.data)
     return beta.clip_min(BETA_UNDERFLOW_GUARD).log()
 
 
-def compute_log_qz(enc, params, alpha, beta):
-    """Unnormalized log posterior class scores, shape (N, K)."""
+def _check_log_qz(log_qz):
+    """Raise NumericFault at the first non-finite entry of an (N, K) array."""
+    if not np.isfinite(log_qz).all():
+        n_idx, k_idx = np.argwhere(~np.isfinite(log_qz))[0]
+        raise NumericFault(f"log_qz non-finite at (n={n_idx}, k={k_idx})")
+
+
+def _log_qz_const(params, alpha):
+    """The per-component part of ln qz_nk, shape (K,)."""
     half_nu = params.nu * 0.5
-    const_k = (
+    return (
         params.pi.log()
         + half_nu * half_nu.log()
         - half_nu.lgamma()
         - params.log_det_sigma * 0.5
         + alpha.lgamma()
-    )  # (K,)
+    )
+
+
+def compute_log_qz(enc, params, alpha, beta):
+    """Unnormalized log posterior class scores, shape (N, K)."""
+    const_k = _log_qz_const(params, alpha)
     out = const_k.reshape(1, params.K) - alpha.reshape(1, params.K) * _log_beta(beta)
-    if not np.isfinite(out.data).all():
-        n_idx, k_idx = np.argwhere(~np.isfinite(out.data))[0]
-        raise NumericFault(f"log_qz non-finite at (n={n_idx}, k={k_idx})")
+    _check_log_qz(out.data)
     return out
 
 
@@ -273,6 +292,66 @@ def posterior_stats(enc, params):
     return PosteriorStats(
         alpha=alpha, beta=beta, log_qz=log_qz, gamma=gamma, log_rho=log_rho
     )
+
+
+# ------------------------------------------------------- scoring E-step
+
+
+@dataclass
+class ScoringConstants:
+    """What ``score_responsibilities`` reads of one mixture, as arrays."""
+
+    nu: np.ndarray  # (K,)
+    alpha: np.ndarray  # (1, K)
+    const_k: np.ndarray  # (1, K), the per-component part of ln qz
+    sigma_inv: list  # K arrays (D, D)
+    inv_diag: list  # K arrays (D,), the diagonals of sigma_inv
+    mu: np.ndarray  # (K, D)
+
+
+def scoring_constants(params):
+    """The per-mixture constants of the scoring E-step, from materialized
+    parameters that need no gradient. ``alpha`` and ``const_k`` are
+    computed by the graph's own expressions."""
+    alpha = compute_alpha(params, params.D)
+    return ScoringConstants(
+        nu=params.nu.data,
+        alpha=alpha.data.reshape(1, params.K),
+        const_k=_log_qz_const(params, alpha).data.reshape(1, params.K),
+        sigma_inv=[inv.data for inv in params.sigma_inv],
+        inv_diag=[np.diag(inv.data).copy() for inv in params.sigma_inv],
+        mu=params.mu.data,
+    )
+
+
+def score_responsibilities(consts, mu_x, log_std_x):
+    """Responsibilities gamma, shape (N, K), of constant encoder outputs.
+
+    Repeats compute_beta, compute_log_qz and responsibilities in numpy,
+    operation by operation and in the same order, so gamma has the bits of
+    ``posterior_stats(enc, params).gamma`` without its graph, its
+    per-op finiteness checks or the unused ln rho. Only (N, D) and (N, K)
+    temporaries are made. A clamped beta logs the same warning, and a
+    non-finite ln qz raises the same NumericFault.
+    """
+    var = np.exp(log_std_x * 2.0)
+    cols = []
+    for k, inv_k in enumerate(consts.sigma_inv):
+        trace = (var * consts.inv_diag[k]).sum(axis=1)
+        diff = mu_x - consts.mu[k]
+        quad = diff @ inv_k
+        quad *= diff
+        cols.append((consts.nu[k] + trace + quad.sum(axis=1)) * 0.5)
+    beta = np.stack(cols, axis=1)
+    _warn_beta_underflow(beta)
+    log_qz = consts.const_k - consts.alpha * np.log(
+        np.maximum(beta, BETA_UNDERFLOW_GUARD)
+    )
+    _check_log_qz(log_qz)
+    log_qz -= log_qz.max(axis=-1, keepdims=True)
+    gamma = np.exp(log_qz, out=log_qz)
+    gamma /= gamma.sum(axis=-1, keepdims=True)
+    return gamma
 
 
 # ------------------------------------------------------ closed-form refit

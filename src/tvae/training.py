@@ -5,9 +5,11 @@ the mixture at the end of every supervised epoch (unsupervised epochs stay
 gradient-only), per-epoch metrics, and bit-exact checkpointing.
 
 Forward-only requests (scoring, evaluation, sampling) build no autodiff
-graph: the networks run on constant weights and the scores use one
-constant materialized mixture, rebuilt only after a raw mixture parameter
-has been replaced."""
+graph: the networks run on constant weights, and one constant
+materialized mixture, rebuilt only after a raw mixture parameter has been
+replaced, serves them all. Draws come from that mixture; scores come from
+a numpy E-step (``mixture.score_responsibilities``) on its per-version
+constants, bit-identical to the graph's responsibilities."""
 
 import base64
 import binascii
@@ -233,7 +235,8 @@ class Trainer:
         if cfg.mode.kind in ("supervised", "semi_supervised") and labels is None:
             raise ContractViolation(f"{cfg.mode.kind} training requires labels")
         self.cfg = cfg
-        # (raw arrays, constant SmmParams) of ``_constant_mixture``
+        # (raw arrays, constant SmmParams, ScoringConstants) of
+        # ``_constant_mixture``
         self._mixture_cache = None
         self.observations = observations
         self.labels = labels
@@ -439,10 +442,11 @@ class Trainer:
     def _constant_mixture(self):
         """``materialize_params`` of constant copies of the raw mixture.
 
-        The result is kept with the five raw arrays it came from and reused
-        while each raw parameter still holds the same array object.
-        ``assign_`` always installs a new array, so an Adam step, the refit
-        and a checkpoint restore all force a rebuild.
+        The result and its ``mixture.scoring_constants`` are kept with the
+        five raw arrays they came from and reused while each raw parameter
+        still holds the same array object. ``assign_`` always installs a
+        new array, so an Adam step, the refit and a checkpoint restore all
+        force a rebuild.
         """
         raw = self.raw_mix
         arrays = tuple(
@@ -451,21 +455,31 @@ class Trainer:
         cache = self._mixture_cache
         if cache is None or any(a is not b for a, b in zip(arrays, cache[0])):
             const = mixture.SmmRawParams(*map(Tensor, arrays), raw.sigma_jitter_sq)
-            cache = self._mixture_cache = (arrays, mixture.materialize_params(const))
+            params = mixture.materialize_params(const)
+            cache = self._mixture_cache = (
+                arrays, params, mixture.scoring_constants(params)
+            )
         return cache[1]
 
     def predict_responsibilities(self, observations, chunk=2048, encoded=None):
         """(N, K) responsibilities without touching the optimizer state.
 
-        Builds no graph: constant encoder outputs scored against the
-        constant mixture of ``_constant_mixture``. ``encoded`` is
-        ``list(_encode(observations))`` when the caller already has it.
+        Builds no graph: constant encoder outputs go through the numpy
+        E-step ``mixture.score_responsibilities`` on the constants of
+        ``_constant_mixture``. ``encoded`` is ``list(_encode(observations))``
+        when the caller already has it.
         """
         if encoded is None:
             encoded = self._encode(observations, chunk)
-        params = self._constant_mixture()
+        self._constant_mixture()
+        consts = self._mixture_cache[2]
         return np.vstack(
-            [mixture.posterior_stats(stats, params).gamma.data for stats in encoded]
+            [
+                mixture.score_responsibilities(
+                    consts, stats.mu_x.data, stats.log_std_x.data
+                )
+                for stats in encoded
+            ]
         )
 
     def evaluate(self, observations, labels, map_clusters=None, encoded=None):
@@ -491,8 +505,7 @@ class Trainer:
             map_clusters = self.cfg.mode.kind == "unsupervised"
         gamma = self.predict_responsibilities(observations, encoded=encoded)
         pred = np.argmax(gamma, axis=1)  # ties resolve to the lowest index
-        confusion = np.zeros((k, k), dtype=np.int64)
-        np.add.at(confusion, (pred, labels), 1)
+        confusion = np.bincount(pred * k + labels, minlength=k * k).reshape(k, k)
         if map_clusters:
             _, accuracy = match_clusters_to_classes(confusion)
             return 1.0 - accuracy, confusion

@@ -552,6 +552,85 @@ def test_forward_only_requests_build_no_graph():
     assert not any(t.requires_grad for t in tensors)
 
 
+@pytest.fixture(scope="module")
+def k30_trainer():
+    """An untrained K=30, D=20 model whose mixture is moved off its warm
+    start, with 2049 rows: one more than a scoring chunk."""
+    rng = np.random.default_rng(70)
+    obs = rng.standard_normal((2049, 40))
+    labels = np.arange(2049) % 30
+    cfg = base_config(
+        net=network.MlpConfig((40, 32, 20), "tanh"),
+        latent_dim=20,
+        n_components=30,
+        epochs=0,
+    )
+    trainer = training.Trainer(obs, labels, cfg)
+    for p in trainer.raw_mix.params().values():
+        p.assign_(p.data + 0.1 * rng.standard_normal(p.shape))
+    return trainer, obs
+
+
+def graph_gamma(trainer, enc):
+    params = mixture.materialize_params(trainer.raw_mix)
+    return mixture.posterior_stats(enc, params).gamma.data
+
+
+def test_numpy_scores_keep_the_graph_bits_across_the_chunk_boundary(k30_trainer):
+    trainer, obs = k30_trainer
+    expected = np.vstack(
+        [
+            graph_gamma(trainer, network.encoder_forward(Tensor(part), trainer.encoder))
+            for part in (obs[:2048], obs[2048:])
+        ]
+    )
+    gamma = trainer.predict_responsibilities(obs)
+    assert gamma.shape == (2049, 30)
+    assert np.array_equal(gamma, expected)
+
+
+@pytest.mark.parametrize("case", ["far", "low_std", "high_std"])
+def test_numpy_scores_keep_the_graph_bits_on_extreme_rows(k30_trainer, case):
+    trainer, _ = k30_trainer
+    rng = np.random.default_rng(71)
+    clamp = trainer.cfg.log_std_clamp
+    mu_x = rng.standard_normal((64, 20))
+    log_std_x = rng.uniform(-clamp, clamp, (64, 20))
+    if case == "far":  # 1e3 times farther out than any component mean
+        scale = 1e3 * np.abs(trainer.raw_mix.mu.data).max()
+        mu_x *= scale / np.abs(mu_x).max(axis=1, keepdims=True)
+    else:
+        log_std_x[:] = -clamp if case == "low_std" else clamp
+    enc = network.EncoderStats(Tensor(mu_x), Tensor(log_std_x))
+    gamma = trainer.predict_responsibilities(None, encoded=[enc])
+    assert np.array_equal(gamma, graph_gamma(trainer, enc))
+
+
+def test_numpy_scores_raise_on_an_overflowing_distance(k30_trainer):
+    trainer, _ = k30_trainer
+    mu_x = np.zeros((3, 20))
+    mu_x[1] = 1e200
+    enc = network.EncoderStats(Tensor(mu_x), Tensor(np.zeros((3, 20))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericFault):
+            graph_gamma(trainer, enc)
+        with pytest.raises(NumericFault, match=r"log_qz non-finite at \(n=1, "):
+            trainer.predict_responsibilities(None, encoded=[enc])
+
+
+def test_evaluate_confusion_counts_labels_no_row_is_predicted_as():
+    labels = np.array([0, 1, 2, 3, 3, 1, 0, 2])
+    gamma = np.eye(4)[[0, 0, 2, 2, 0, 2, 0, 2]]  # never predicts 1 or 3
+    _, confusion = fixed_gamma_trainer(gamma, labels).evaluate(
+        np.zeros((8, 2)), labels
+    )
+    expected = np.zeros((4, 4), dtype=np.int64)
+    np.add.at(expected, (gamma.argmax(axis=1), labels), 1)
+    assert confusion.dtype == np.int64
+    assert np.array_equal(confusion, expected)
+    assert not confusion[[1, 3]].any()
+
+
 # ------------------------------------------------------ closed-form refit
 
 
