@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
@@ -28,48 +29,26 @@ EXIT_NUMERIC = 2
 OUTPUT_ROOT_ENV = "TVAE_OUTPUT_ROOT"
 GRADCHECK_SIZE_LIMIT = 10_000  # rows * obs_dim guard
 
-_CONFIG_DEFAULTS = {
-    "stepsize": 1e-3,
-    "sigma_jitter_sq": 0.01,
+# A flat config key is a ``TrainConfig`` field, typed and defaulted there, or
+# one of these CLI keys: ``hidden_dims`` and ``activation`` build ``net``,
+# ``mode`` and ``supervised_epochs`` build ``mode``, and the fields that
+# ``TrainConfig`` requires take their CLI defaults here.
+_CLI_DEFAULTS = {
     "latent_dim": 2,
-    "l1_coeff": 0.001,
-    "epochs": 100,
-    "batch_size": 128,
-    "t_samples": 1,
-    "warm_start_iters": 15,
-    "seed": 0,
-    "mode": "unsupervised",
-    "supervised_epochs": 0,
+    "n_components": 5,
     "hidden_dims": [16],
     "activation": "tanh",
-    "n_components": 5,
-    "nu_init": 5.0,
-    "freeze_dof": False,
-    "detach_gamma": False,
-    "supervised_replacement": "weights",
-    "log_std_clamp": 7.0,
-    "grad_clip": 1.0,
+    "mode": "unsupervised",
+    "supervised_epochs": 0,
 }
-_INT_KEYS = {
-    "latent_dim",
-    "epochs",
-    "batch_size",
-    "t_samples",
-    "warm_start_iters",
-    "seed",
-    "supervised_epochs",
-    "n_components",
+_FLAT_KEYS = {  # key -> (type, default)
+    **{
+        f.name: (f.type, f.default)
+        for f in fields(training.TrainConfig)
+        if f.name != "net"
+    },
+    **{key: (type(value), value) for key, value in _CLI_DEFAULTS.items()},
 }
-_FLOAT_KEYS = {
-    "stepsize",
-    "sigma_jitter_sq",
-    "l1_coeff",
-    "nu_init",
-    "log_std_clamp",
-    "grad_clip",
-}
-_BOOL_KEYS = {"freeze_dof", "detach_gamma"}
-_STR_KEYS = {"mode", "activation", "supervised_replacement"}
 
 
 # ----------------------------------------------------------- config handling
@@ -79,74 +58,45 @@ def parse_config_mapping(raw):
     """Merge a flat key/value mapping over the defaults, fail-loud."""
     if not isinstance(raw, dict):
         raise ValidationError("config must be a flat key/value object")
-    unknown = sorted(set(raw) - set(_CONFIG_DEFAULTS))
+    unknown = sorted(set(raw) - set(_FLAT_KEYS))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    merged = dict(_CONFIG_DEFAULTS)
+    merged = {key: default for key, (_, default) in _FLAT_KEYS.items()}
     for key, value in raw.items():
-        if key in _BOOL_KEYS:
-            if not isinstance(value, bool):
-                raise ValidationError(f"config key {key!r} must be a boolean")
-        elif key in _INT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"config key {key!r} must be an integer")
-        elif key in _FLOAT_KEYS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"config key {key!r} must be a number")
-            value = float(value)
-        elif key in _STR_KEYS:
-            if not isinstance(value, str):
-                raise ValidationError(f"config key {key!r} must be a string")
-        elif key == "hidden_dims":
+        kind = _FLAT_KEYS[key][0]
+        if key == "hidden_dims":
             if (
                 not isinstance(value, list)
                 or not value
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
+                or not all(training.fits_json_type(v, int) for v in value)
             ):
                 raise ValidationError(
                     "config key 'hidden_dims' must be a non-empty list of ints"
                 )
+        elif not training.fits_json_type(value, kind):
+            raise ValidationError(
+                f"config key {key!r} must be {training.JSON_TYPES[kind][1]}"
+            )
+        elif kind is float:
+            value = float(value)
         merged[key] = value
     return merged
 
 
 def load_config_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config_mapping(raw)
+    return parse_config_mapping(training.read_json(path, f"config {path}"))
 
 
-def train_config_from_mapping(merged, input_dim, freeze_override=None):
+def train_config_from_mapping(merged, input_dim):
+    """The ``TrainConfig`` of a ``parse_config_mapping`` result, for data
+    with ``input_dim`` features."""
+    flat = dict(merged)
     net = MlpConfig(
-        (input_dim, *merged["hidden_dims"], merged["latent_dim"]),
-        merged["activation"],
+        (input_dim, *flat.pop("hidden_dims"), flat["latent_dim"]),
+        flat.pop("activation"),
     )
-    freeze = merged["freeze_dof"] if freeze_override is None else freeze_override
-    return training.TrainConfig(
-        net=net,
-        latent_dim=merged["latent_dim"],
-        n_components=merged["n_components"],
-        stepsize=merged["stepsize"],
-        sigma_jitter_sq=merged["sigma_jitter_sq"],
-        l1_coeff=merged["l1_coeff"],
-        epochs=merged["epochs"],
-        batch_size=merged["batch_size"],
-        t_samples=merged["t_samples"],
-        warm_start_iters=merged["warm_start_iters"],
-        seed=merged["seed"],
-        mode=TrainingMode(merged["mode"], merged["supervised_epochs"]),
-        nu_init=merged["nu_init"],
-        freeze_dof=freeze,
-        detach_gamma=merged["detach_gamma"],
-        supervised_replacement=merged["supervised_replacement"],
-        log_std_clamp=merged["log_std_clamp"],
-        grad_clip=merged["grad_clip"],
-    )
+    mode = TrainingMode(flat.pop("mode"), flat.pop("supervised_epochs"))
+    return training.TrainConfig(net=net, mode=mode, **flat)
 
 
 def _sha256_file(path):
@@ -285,8 +235,9 @@ def cmd_train(args):
     ds = data_mod.load_csv(_resolve(args.data))
     if ds.n_rows == 0:
         raise ValidationError("training data is empty")
-    freeze_override = True if args.baseline == "gaussian" else None
-    cfg = train_config_from_mapping(merged, ds.n_features, freeze_override)
+    if args.baseline == "gaussian":
+        merged["freeze_dof"] = True
+    cfg = train_config_from_mapping(merged, ds.n_features)
     out_dir = _resolve(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -451,14 +402,10 @@ def _run_grid_cell(payload):
 
 def cmd_gridsearch(args):
     template = load_config_file(args.config)
-    try:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            grid = json.load(fh)
-    except ValueError as exc:
-        raise ValidationError(f"grid spec is not valid JSON: {exc}") from exc
+    grid = training.read_json(args.grid, "grid spec")
     if not isinstance(grid, dict) or not grid:
         raise ValidationError("grid spec must be a non-empty key/value object")
-    unknown = sorted(set(grid) - set(_CONFIG_DEFAULTS))
+    unknown = sorted(set(grid) - set(_FLAT_KEYS))
     if unknown:
         raise ValidationError(f"unknown grid keys: {', '.join(unknown)}")
     for key, values in grid.items():

@@ -16,7 +16,7 @@ import binascii
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -59,6 +59,10 @@ class TrainConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ContractViolation(f"{f.name} must be finite, got {value}")
         positive = {
             "latent_dim": self.latent_dim,
             "n_components": self.n_components,
@@ -539,36 +543,21 @@ def train(observations, labels, cfg):
 # ---------------------------------------------------------------- checkpoints
 
 
-def _config_to_dict(cfg):
-    return {
-        "net": {
-            "layer_dims": list(cfg.net.layer_dims),
-            "activation": cfg.net.activation,
-        },
-        "latent_dim": cfg.latent_dim,
-        "n_components": cfg.n_components,
-        "stepsize": cfg.stepsize,
-        "sigma_jitter_sq": cfg.sigma_jitter_sq,
-        "l1_coeff": cfg.l1_coeff,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "t_samples": cfg.t_samples,
-        "warm_start_iters": cfg.warm_start_iters,
-        "seed": cfg.seed,
-        "mode": {
-            "kind": cfg.mode.kind,
-            "supervised_epochs": cfg.mode.supervised_epochs,
-        },
-        "nu_init": cfg.nu_init,
-        "freeze_dof": cfg.freeze_dof,
-        "detach_gamma": cfg.detach_gamma,
-        "supervised_replacement": cfg.supervised_replacement,
-        "log_std_clamp": cfg.log_std_clamp,
-        "grad_clip": cfg.grad_clip,
-    }
+# The JSON types that may set a config field of each type, and their names.
+JSON_TYPES = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
 
 
-_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+def fits_json_type(value, kind):
+    """Whether a JSON ``value`` may set a field of type ``kind``: a bool sets
+    only a bool field, and an integer also sets a float field."""
+    return isinstance(value, bool) == (kind is bool) and isinstance(
+        value, JSON_TYPES[kind][0]
+    )
 
 
 def _checked_keys(obj, keys, name):
@@ -586,17 +575,13 @@ def _checked_keys(obj, keys, name):
 
 
 def config_from_dict(raw):
-    """Inverse of ``_config_to_dict``. A missing or unknown key, a value of
-    the wrong JSON type, or a value ``TrainConfig`` rejects raises
-    ``ValidationError`` naming the field."""
+    """Inverse of ``dataclasses.asdict`` on a ``TrainConfig``. A missing or
+    unknown key, a value of the wrong JSON type, or a value ``TrainConfig``
+    rejects raises ``ValidationError`` naming the field."""
     raw = dict(_checked_keys(raw, [f.name for f in fields(TrainConfig)], "config"))
     for f in fields(TrainConfig):
-        allowed = _JSON_TYPES.get(f.type)
         value = raw[f.name]
-        if allowed and (
-            isinstance(value, bool) != (f.type is bool)
-            or not isinstance(value, allowed)
-        ):
+        if f.type in JSON_TYPES and not fits_json_type(value, f.type):
             raise ValidationError(
                 f"checkpoint config {f.name} must be of type "
                 f"{f.type.__name__}, got {value!r}"
@@ -667,7 +652,7 @@ def save_checkpoint(trainer, path):
     byte-identical files."""
     state = {
         "version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(trainer.cfg),
+        "config": asdict(trainer.cfg),
         "epoch": trainer.epoch,
         "step": trainer.step,
         "params": {
@@ -686,17 +671,24 @@ def save_checkpoint(trainer, path):
         fh.write(json.dumps(state))
 
 
+def read_json(path, name):
+    """The JSON value in the file at ``path``. An unreadable file or one
+    that is not JSON raises ``ValidationError``; ``name`` names the file
+    in its message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {name}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{name} is not valid JSON: {exc}") from exc
+
+
 def read_checkpoint(path):
     """The JSON object of a checkpoint file, arrays still encoded;
     ``restore_checkpoint`` checks and decodes it. An unreadable file or
     one that is not a JSON object raises ``ValidationError``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read checkpoint {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    state = read_json(path, f"checkpoint {path}")
     if not isinstance(state, dict):
         raise ValidationError(f"checkpoint {path} is not a JSON object")
     return state

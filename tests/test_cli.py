@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, run artifacts, and determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,8 @@ import tvae
 from tvae import cli, training
 from tvae import data as data_mod
 from tvae.cli import EXIT_VALIDATION, main
+from tvae.elbo import TrainingMode
+from tvae.network import MlpConfig
 
 TINY_CONFIG = {
     "epochs": 3,
@@ -89,6 +92,138 @@ def test_unknown_config_keys_are_listed(tmp_path, capsys):
 def test_non_flat_config_rejected(tmp_path):
     config = write_json(tmp_path / "bad.json", [1, 2])
     assert main(["train", "--config", config, "--data", "x", "--out-dir", "y"]) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("epochs", 2.5, "config key 'epochs' must be an integer"),
+        ("stepsize", "fast", "config key 'stepsize' must be a number"),
+        ("freeze_dof", 1, "config key 'freeze_dof' must be a boolean"),
+        ("mode", 3, "config key 'mode' must be a string"),
+        ("hidden_dims", [8, True],
+         "config key 'hidden_dims' must be a non-empty list of ints"),
+    ],
+)
+def test_config_values_of_the_wrong_type_are_named(tmp_path, capsys, key, value, message):
+    config = write_json(tmp_path / "bad.json", {key: value})
+    out_dir = tmp_path / "r"
+    assert main(["train", "--config", config, "--data", "x", "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+# Every TrainConfig field, set away from its default through flat keys.
+NON_DEFAULT_FLAT = {
+    "hidden_dims": [7, 5],
+    "activation": "relu",
+    "latent_dim": 3,
+    "n_components": 4,
+    "stepsize": 0.02,
+    "sigma_jitter_sq": 0.05,
+    "l1_coeff": 0.0,
+    "epochs": 9,
+    "batch_size": 32,
+    "t_samples": 2,
+    "warm_start_iters": 0,
+    "seed": 17,
+    "mode": "semi_supervised",
+    "supervised_epochs": 2,
+    "nu_init": 8,
+    "freeze_dof": True,
+    "detach_gamma": True,
+    "supervised_replacement": "gamma-target",
+    "log_std_clamp": 4.0,
+    "grad_clip": 3.5,
+}
+
+
+def test_empty_config_takes_the_dataclass_and_cli_defaults():
+    cfg = cli.train_config_from_mapping(cli.parse_config_mapping({}), 6)
+    assert cfg == training.TrainConfig(
+        net=MlpConfig((6, 16, 2), "tanh"), latent_dim=2, n_components=5
+    )
+
+
+def test_every_config_field_is_reachable_from_a_flat_key():
+    default = cli.train_config_from_mapping(cli.parse_config_mapping({}), 6)
+    cfg = cli.train_config_from_mapping(cli.parse_config_mapping(NON_DEFAULT_FLAT), 6)
+    for f in dataclasses.fields(training.TrainConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    assert cfg == training.TrainConfig(
+        net=MlpConfig((6, 7, 5, 3), "relu"),
+        latent_dim=3,
+        n_components=4,
+        stepsize=0.02,
+        sigma_jitter_sq=0.05,
+        l1_coeff=0.0,
+        epochs=9,
+        batch_size=32,
+        t_samples=2,
+        warm_start_iters=0,
+        seed=17,
+        mode=TrainingMode("semi_supervised", 2),
+        nu_init=8.0,
+        freeze_dof=True,
+        detach_gamma=True,
+        supervised_replacement="gamma-target",
+        log_std_clamp=4.0,
+        grad_clip=3.5,
+    )
+    assert type(cfg.nu_init) is float
+
+
+def test_checkpoint_config_echo_keeps_its_key_order(workspace):
+    state = json.load(open(os.path.join(workspace["run"], "checkpoint.json")))
+    config = state["config"]
+    assert list(config) == [
+        "net", "latent_dim", "n_components", "stepsize", "sigma_jitter_sq",
+        "l1_coeff", "epochs", "batch_size", "t_samples", "warm_start_iters",
+        "seed", "mode", "nu_init", "freeze_dof", "detach_gamma",
+        "supervised_replacement", "log_std_clamp", "grad_clip",
+    ]
+    assert list(config["net"]) == ["layer_dims", "activation"]
+    assert list(config["mode"]) == ["kind", "supervised_epochs"]
+
+
+def test_an_integer_float_key_is_echoed_as_a_float(workspace, tmp_path):
+    config = write_json(
+        tmp_path / "int.json", {**TINY_CONFIG, "epochs": 1, "stepsize": 1}
+    )
+    run = tmp_path / "r"
+    assert main(
+        ["train", "--config", config, "--data", workspace["data"],
+         "--out-dir", str(run), "--plot-samples", "0"]
+    ) == 0
+    text = (run / "checkpoint.json").read_text()
+    assert '"stepsize": 1.0,' in text
+    stepsize = json.loads(text)["config"]["stepsize"]
+    assert stepsize == 1.0 and type(stepsize) is float
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("grad_clip", float("inf")),
+        ("l1_coeff", float("nan")),
+        ("nu_init", float("inf")),
+        ("sigma_jitter_sq", float("inf")),
+        ("stepsize", float("nan")),
+        ("log_std_clamp", float("-inf")),
+    ],
+)
+def test_non_finite_config_values_fail_before_training(
+    workspace, tmp_path, capsys, key, value
+):
+    config = write_json(tmp_path / "inf.json", {**TINY_CONFIG, key: value})
+    run = tmp_path / "r"
+    assert main(
+        ["train", "--config", config, "--data", workspace["data"],
+         "--out-dir", str(run)]
+    ) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
+    assert not (run / "checkpoint.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -399,6 +534,34 @@ def test_gridsearch_rejects_unknown_grid_keys(workspace, tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "error: cannot read grid spec: "),
+        ("{not json", "error: grid spec is not valid JSON: "),
+    ],
+)
+def test_gridsearch_rejects_an_unreadable_grid_file(
+    workspace, tmp_path, capsys, content, message
+):
+    grid = tmp_path / "g.json"
+    if content is not None:
+        grid.write_text(content)
+    out_dir = tmp_path / "gs"
+    code = main(
+        [
+            "gridsearch",
+            "--config", workspace["config"],
+            "--grid", str(grid),
+            "--data", workspace["data"],
+            "--out-dir", str(out_dir),
+        ]
+    )
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(message)
+    assert not out_dir.exists()
+
+
 class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor that records its size."""
 
@@ -581,6 +744,21 @@ def test_eval_and_sample_reject_a_bad_config_echo_or_counter(
         assert main(argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+def test_eval_and_sample_reject_a_non_finite_config_echo(workspace, tmp_path, capsys):
+    state = json.load(open(os.path.join(workspace["run"], "checkpoint.json")))
+    state["config"]["grad_clip"] = float("inf")
+    path = write_json(tmp_path / "inf.json", state)
+    for argv in (
+        ["eval", "--checkpoint", path, "--data", workspace["data"]],
+        ["sample", "--checkpoint", path, "--count", "1", "--seed", "1",
+         "--out", str(tmp_path / "s.csv")],
+    ):
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: checkpoint config is invalid: grad_clip must be finite, got inf\n"
+        )
 
 
 RUNTIME_WITHOUT_SCIPY = """

@@ -126,6 +126,16 @@ def test_config_validation():
         base_config(stepsize=0.0)
 
 
+@pytest.mark.parametrize("name", [
+    "stepsize", "sigma_jitter_sq", "l1_coeff", "nu_init", "log_std_clamp",
+    "grad_clip",
+])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ContractViolation, match=f"^{name} must be finite, got {value}$"):
+        base_config(**{name: value})
+
+
 def test_trainer_input_contracts():
     obs, labels = two_blobs()
     with pytest.raises(ContractViolation):
