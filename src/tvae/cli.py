@@ -437,8 +437,12 @@ def cmd_gridsearch(args):
         cell_dir = os.path.join(out_dir, f"cell_{idx:03d}")
         done = os.path.join(cell_dir, "results.json")
         if os.path.exists(done):  # resumable: completed cells are skipped
-            with open(done, "r", encoding="utf-8") as fh:
-                results[idx] = json.load(fh)
+            res = training.read_json(done, done)
+            if not isinstance(res, dict) or res.get("config") != merged:
+                raise ValidationError(
+                    f"{done} was written for another config; use a fresh --out-dir"
+                )
+            results[idx] = res
             continue
         payloads.append(
             (idx, (cell_dir, data_path, merged, train_rows, dev_rows, test_rows))

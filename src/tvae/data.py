@@ -199,8 +199,11 @@ def save_csv(dataset, path):
 
 def load_csv(path, name=""):
     """Parse a dataset written by :func:`save_csv`; errors carry line numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise ValidationError(f"{path}: empty file, expected a header row")
     header = lines[0].split(",")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mixture, network
+from .distributions import sample_standard_normal
 from .errors import ContractViolation
 from .tensor import Tensor
 
@@ -192,8 +193,6 @@ def loss_batch(
     n_rows = o.shape[0]
     if n_rows == 0:
         raise ContractViolation("loss over an empty batch")
-    from .distributions import sample_standard_normal
-
     enc = network.encoder_forward(o, encoder)
     if eps is None:
         if rng is None:

@@ -36,6 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .distributions import (
+    sample_categorical_array,
+    sample_gamma_array,
+    standard_normal_array,
+)
 from .errors import ContractViolation, DomainError, NumericFault
 from .tensor import Tensor, stack
 
@@ -458,9 +463,6 @@ def sample_generative(rng, params, count):
 
     Returns (labels, u, x) as ndarrays of shapes (count,), (count,), (count, D).
     """
-    from .distributions import sample_categorical_array, sample_gamma_array
-    from .distributions import standard_normal_array
-
     d = params.D
     labels = sample_categorical_array(rng, params.pi.data, count)
     u = np.empty(count)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import elbo, mixture, network
 from .data import match_clusters_to_classes
+from .distributions import standard_normal_array
 from .elbo import TrainingMode
 from .errors import ContractViolation, NumericFault, ValidationError
 from .network import MlpConfig, TwoHeadMlp
@@ -244,11 +245,6 @@ class Trainer:
         self._mixture_cache = None
         self.observations = observations
         self.labels = labels
-        self.labeled_rows = (
-            np.arange(observations.shape[0])
-            if labels is not None
-            else np.empty(0, dtype=np.int64)
-        )
 
         dec_dims = tuple(reversed(cfg.net.layer_dims))
         dec_cfg = MlpConfig(dec_dims, cfg.net.activation)
@@ -318,23 +314,16 @@ class Trainer:
             **self.raw_mix.params(),
         }
 
-    def trainable_params(self):
-        out = self.params()
-        if self.cfg.freeze_dof:
-            out.pop("mix.n")
-        return out
-
     def _epoch_plan(self, epoch):
-        """(mode kind, row indices) for a 0-based epoch index."""
+        """(mode kind, row indices) for a 0-based epoch index. Every epoch
+        trains on all rows: supervised and semi-supervised runs have a label
+        on every row."""
         mode = self.cfg.mode
-        all_rows = np.arange(self.observations.shape[0])
-        if mode.kind == "unsupervised":
-            return "unsupervised", all_rows
-        if mode.kind == "supervised":
-            return "supervised", self.labeled_rows
-        if epoch < mode.supervised_epochs:
-            return "supervised", self.labeled_rows
-        return "unsupervised", all_rows
+        supervised = mode.kind == "supervised" or (
+            mode.kind == "semi_supervised" and epoch < mode.supervised_epochs
+        )
+        kind = "supervised" if supervised else "unsupervised"
+        return kind, np.arange(self.observations.shape[0])
 
     # ------------------------------------------------------------- training
 
@@ -346,8 +335,6 @@ class Trainer:
         while self.epoch < last:
             t_start = time.perf_counter()
             kind, rows = self._epoch_plan(self.epoch)
-            if rows.size == 0:
-                raise ContractViolation("no rows available for this epoch")
             order = rows[self.rng.permutation(rows.size)]
             losses = []
             for b_idx, start in enumerate(range(0, order.size, cfg.batch_size)):
@@ -402,11 +389,7 @@ class Trainer:
         weight_override = None
         if self.step < cfg.warm_start_iters:
             weight_override = self.warm_weights[batch_rows]
-        labels_arg = (
-            self.labels[batch_rows]
-            if (kind == "supervised" and self.labels is not None)
-            else None
-        )
+        labels_arg = self.labels[batch_rows] if kind == "supervised" else None
         loss = elbo.loss_batch(
             self.observations[batch_rows],
             self.encoder,
@@ -426,7 +409,7 @@ class Trainer:
             grads.pop("mix.n", None)
         grads = clip_grad_norm(grads, cfg.grad_clip)
         self.step += 1
-        adam_step(self.trainable_params(), grads, self.moments, cfg.stepsize, self.step)
+        adam_step(self.params(), grads, self.moments, cfg.stepsize, self.step)
         return value
 
     # ------------------------------------------------------------ evaluation
@@ -465,7 +448,7 @@ class Trainer:
             )
         return cache[1]
 
-    def predict_responsibilities(self, observations, chunk=2048, encoded=None):
+    def predict_responsibilities(self, observations, encoded=None):
         """(N, K) responsibilities without touching the optimizer state.
 
         Builds no graph: constant encoder outputs go through the numpy
@@ -474,7 +457,7 @@ class Trainer:
         when the caller already has it.
         """
         if encoded is None:
-            encoded = self._encode(observations, chunk)
+            encoded = self._encode(observations)
         self._constant_mixture()
         consts = self._mixture_cache[2]
         return np.vstack(
@@ -526,8 +509,6 @@ class Trainer:
         if count == 0:
             return labels, u, x, np.empty((0, self.cfg.net.layer_dims[0]))
         mu_o, log_std_o = self.decoder.detached().forward(Tensor(x))
-        from .distributions import standard_normal_array
-
         noise = standard_normal_array(rng, mu_o.data.size).reshape(mu_o.shape)
         obs = mu_o.data + np.exp(log_std_o.data) * noise
         return labels, u, x, obs

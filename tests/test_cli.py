@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -502,6 +503,45 @@ def test_gridsearch_resume_skips_completed_cells(workspace, grid_run):
     assert os.path.exists(redo)
 
 
+def _rerun_grid(workspace, grid, out_dir):
+    return main(
+        [
+            "gridsearch",
+            "--config", workspace["config"],
+            "--grid", grid,
+            "--data", workspace["data"],
+            "--out-dir", out_dir,
+        ]
+    )
+
+
+def test_gridsearch_refuses_to_resume_cells_of_another_config(
+    workspace, grid_run, tmp_path, capsys
+):
+    out_dir = str(tmp_path / "gs")
+    shutil.copytree(grid_run["out"], out_dir)
+    grid = write_json(tmp_path / "g.json", {"l1_coeff": [0.5, 0.9]})
+    before = os.path.getmtime(os.path.join(out_dir, "cell_001", "checkpoint.json"))
+    assert _rerun_grid(workspace, grid, out_dir) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cell_000" in err and "--out-dir" in err
+    after = os.path.getmtime(os.path.join(out_dir, "cell_001", "checkpoint.json"))
+    assert after == before
+
+
+def test_gridsearch_rejects_a_truncated_cell_result(
+    workspace, grid_run, tmp_path, capsys
+):
+    out_dir = str(tmp_path / "gs")
+    shutil.copytree(grid_run["out"], out_dir)
+    done = os.path.join(out_dir, "cell_001", "results.json")
+    with open(done, "r+", encoding="utf-8") as fh:
+        fh.truncate(len(fh.read()) // 2)
+    assert _rerun_grid(workspace, grid_run["grid"], out_dir) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {done} is not valid JSON: ")
+
+
 def test_gridsearch_rejects_unlabeled_data(workspace, tmp_path):
     ds = data_mod.load_csv(workspace["data"])
     unlabeled = str(tmp_path / "unlabeled.csv")
@@ -809,3 +849,30 @@ def test_absolute_outputs_ignore_env_root(tmp_path, monkeypatch):
     assert main(["pinwheel", "--arms", "2", "--points-per-arm", "3", "--seed", "1", "--out", out]) == 0
     assert os.path.exists(out)
     assert not os.path.exists(tmp_path / "elsewhere")
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "gridsearch"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_data_file_is_a_validation_error(
+    workspace, tmp_path, capsys, command, kind
+):
+    data = tmp_path / "data.csv"
+    if kind == "directory":
+        data.mkdir()
+    elif kind == "not_utf8":
+        data.write_bytes(b"f0,f1,label\n\xff\xfe,1.0,0\n")
+    out_dir = tmp_path / "out"
+    argv = {
+        "train": ["--config", workspace["config"], "--out-dir", str(out_dir)],
+        "eval": [
+            "--checkpoint", os.path.join(workspace["run"], "checkpoint.json")
+        ],
+        "gridsearch": [
+            "--config", workspace["config"],
+            "--grid", write_json(tmp_path / "g.json", {"l1_coeff": [0.001]}),
+            "--out-dir", str(out_dir),
+        ],
+    }[command]
+    assert main([command, "--data", str(data), *argv]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: cannot read {data}: ")
+    assert not out_dir.exists()

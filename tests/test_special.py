@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from tvae import _kernels as K
-from tvae._kernels import special_py
 from tvae.errors import DomainError
+from tvae.tensor import Tensor, evaluate_and_grad
 
 mpmath.mp.dps = 30
 
@@ -142,28 +142,39 @@ def test_shape_preserved():
     assert K.trigamma(x).shape == x.shape
 
 
-# ------------------------------------------------------------- backend parity
+# ------------------------------------------------------- array/scalar parity
 
 
-def test_backends_agree():
-    rng = np.random.default_rng(107)
-    xs = _log_uniform(rng, 1e-3, 1e3, 500)
-    out_pure = np.empty_like(xs)
-    for into, public, atol in (
-        (special_py.lgamma_into, K.lgamma, 2e-12),
-        (special_py.digamma_into, K.digamma, 2e-10),
-        (special_py.trigamma_into, K.trigamma, 2e-8),
-    ):
-        assert into(xs, out_pure) == -1
-        np.testing.assert_allclose(public(xs), out_pure, rtol=0, atol=atol)
+@pytest.mark.parametrize(
+    "fn, scalar",
+    [
+        (K.lgamma, K.lgamma_scalar),
+        (K.digamma, K.digamma_scalar),
+        (K.trigamma, K.trigamma_scalar),
+    ],
+)
+def test_array_kernels_equal_their_scalar_kernels(fn, scalar):
+    # both sides of the reflection at 0.5 and of the series switch at 6
+    edges = [0.5, 6.0]
+    xs = [np.nextafter(e, 0.0) for e in edges] + edges
+    xs += [np.nextafter(e, 10.0) for e in edges] + [1e-3, 0.25, 1.0, 3.0, 40.0, 1e5]
+    flat = np.array(xs)
+    for x in (flat[3], flat, flat.reshape(3, 4)):
+        got = fn(x)
+        expected = np.array([scalar(v) for v in np.ravel(x)]).reshape(np.shape(x))
+        assert got.shape == np.shape(x)
+        assert np.array_equal(got, expected)
 
 
-def test_pure_backend_reports_bad_index():
-    x = np.array([2.0, 3.0, -1.0, 4.0])
-    out = np.empty_like(x)
-    assert special_py.lgamma_into(x, out) == 2
-    assert special_py.digamma_into(x, out) == 2
-    assert special_py.trigamma_into(x, out) == 2
+def test_zero_dim_inputs_and_gradients_keep_their_shape():
+    for fn in (K.lgamma, K.digamma, K.trigamma):
+        assert fn(np.float64(3.0)).shape == ()
+        assert fn(np.array(3.0)).shape == ()
+    x = Tensor.param(np.array(3.0), "x")
+    _, grads = evaluate_and_grad(x.lgamma().digamma().sum())
+    grad = grads["x"]
+    assert grad.shape == ()
+    x.assign_(x.data - 0.1 * grad.data)
 
 
 @pytest.mark.parametrize("fn", [K.lgamma, K.digamma, K.trigamma])
