@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import fields
 
 import numpy as np
@@ -238,13 +239,13 @@ def cmd_train(args):
     if args.baseline == "gaussian":
         merged["freeze_dof"] = True
     cfg = train_config_from_mapping(merged, ds.n_features)
+    trainer = training.Trainer(ds.observations, ds.labels, cfg)
     out_dir = _resolve(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
-    result = training.train(ds.observations, ds.labels, cfg)
-    trainer = result.trainer
+    metrics = trainer.train_epochs()
     training.save_checkpoint(trainer, os.path.join(out_dir, "checkpoint.json"))
-    _write_metrics(out_dir, result.metrics)
+    _write_metrics(out_dir, metrics)
     _write_latents(out_dir, trainer, ds)
     clusters, u, x, obs = trainer.sample(args.plot_samples, trainer.rng)
     _write_samples(os.path.join(out_dir, "samples.csv"), clusters, u, x, obs)
@@ -262,8 +263,8 @@ def cmd_train(args):
             "samples": "samples.csv",
         },
     )
-    if result.metrics:
-        last = result.metrics[-1]
+    if metrics:
+        last = metrics[-1]
         line = f"epoch {last.epoch}: loss {last.loss:.6f}"
         if last.error_rate is not None:
             line += f", error rate {last.error_rate:.4f}"
@@ -376,25 +377,17 @@ def cmd_gradcheck(args):
 
 
 def _run_grid_cell(payload):
-    """Train one grid cell and score it; runs in a worker process."""
-    (cell_dir, data_path, merged, train_rows, dev_rows, test_rows) = payload
-    ds = data_mod.load_csv(data_path)
-    cfg = train_config_from_mapping(merged, ds.n_features)
+    """Train one planned grid cell on its rows and score it; runs in a worker
+    process when ``--jobs`` > 1."""
+    cell_dir, cfg, stamp, obs, labels, (train, dev, test) = payload
     os.makedirs(cell_dir, exist_ok=True)
-    obs = ds.observations
-    labels = ds.labels
-    tr = np.asarray(train_rows)
-    result = training.train(
-        obs[tr], None if labels is None else labels[tr], cfg
-    )
+    result = training.train(obs[train], labels[train], cfg)
     trainer = result.trainer
-    dev = np.asarray(dev_rows)
-    test = np.asarray(test_rows)
     dev_error, _ = trainer.evaluate(obs[dev], labels[dev])
     test_error, _ = trainer.evaluate(obs[test], labels[test])
     training.save_checkpoint(trainer, os.path.join(cell_dir, "checkpoint.json"))
     _write_metrics(cell_dir, result.metrics)
-    out = {"dev_error": dev_error, "test_error": test_error, "config": merged}
+    out = {"dev_error": dev_error, "test_error": test_error, **stamp}
     with open(os.path.join(cell_dir, "results.json"), "w", encoding="utf-8") as fh:
         json.dump(out, fh)
     return out
@@ -416,51 +409,48 @@ def cmd_gridsearch(args):
     ds = data_mod.load_csv(data_path)
     if ds.labels is None:
         raise ValidationError("grid search needs labeled data for selection")
+    if template["seed"] < 0:  # it seeds the split even if the grid sets "seed"
+        raise ValidationError(f"seed must be >= 0, got {template['seed']}")
     split = data_mod.kfold_split(
         ds, folds=5, rng=np.random.default_rng(template["seed"])
     )
-    train_rows = np.nonzero(split.fold_of >= 0)[0].tolist()
-    dev_rows = split.dev_indices.tolist()
-    test_rows = split.test_indices.tolist()
+    rows = (np.nonzero(split.fold_of >= 0)[0], split.dev_indices, split.test_indices)
+    digest = _sha256_file(data_path)
 
+    # The plan: every cell's config and labels are checked, and every finished
+    # cell's stamp matched, before anything is written or trained.
     keys = sorted(grid)
     cells = [
         dict(zip(keys, combo))
         for combo in itertools.product(*(grid[k] for k in keys))
     ]
     out_dir = _resolve(args.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-
-    payloads, results = [], {}
+    todo, results = {}, {}  # cell index -> payload to run, or finished result
     for idx, overrides in enumerate(cells):
         merged = parse_config_mapping({**template, **overrides})
+        cfg = train_config_from_mapping(merged, ds.n_features)
+        training.check_label_range(ds.labels, cfg.n_components)
+        stamp = {"config": merged, "data_sha256": digest}
         cell_dir = os.path.join(out_dir, f"cell_{idx:03d}")
         done = os.path.join(cell_dir, "results.json")
-        if os.path.exists(done):  # resumable: completed cells are skipped
-            res = training.read_json(done, done)
-            if not isinstance(res, dict) or res.get("config") != merged:
-                raise ValidationError(
-                    f"{done} was written for another config; use a fresh --out-dir"
-                )
-            results[idx] = res
+        if not os.path.exists(done):
+            todo[idx] = (cell_dir, cfg, stamp, ds.observations, ds.labels, rows)
             continue
-        payloads.append(
-            (idx, (cell_dir, data_path, merged, train_rows, dev_rows, test_rows))
-        )
+        res = training.read_json(done, done)  # resumable: finished cells skip
+        if not isinstance(res, dict) or {k: res.get(k) for k in stamp} != stamp:
+            raise ValidationError(
+                f"{done} was written for another config or data; "
+                "use a fresh --out-dir"
+            )
+        results[idx] = res
+    os.makedirs(out_dir, exist_ok=True)
 
-    if payloads:
-        # Under fork the pool starts all its workers at the first submit, so
-        # it is never larger than the work.
-        workers = min(args.jobs, len(payloads))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for (idx, _), out in zip(
-                    payloads, pool.map(_run_grid_cell, [p for _, p in payloads])
-                ):
-                    results[idx] = out
-        else:
-            for idx, payload in payloads:
-                results[idx] = _run_grid_cell(payload)
+    # Under fork the pool starts all its workers at the first submit, so it
+    # is never larger than the work.
+    workers = min(args.jobs, len(todo))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        results.update(zip(todo, run(_run_grid_cell, todo.values())))
 
     ranking = sorted(results.items(), key=lambda kv: (kv[1]["dev_error"], kv[0]))
     table_path = os.path.join(out_dir, "results.csv")
@@ -550,7 +540,7 @@ def build_parser():
     p.add_argument("--radial-std", type=float, default=0.3)
     p.add_argument("--tangential-std", type=float, default=0.05)
     p.add_argument("--rate", type=float, default=0.25)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pinwheel)
 
@@ -563,7 +553,7 @@ def build_parser():
     p.add_argument("--nu-high", type=float, default=10.0)
     p.add_argument("--nu-fixed", type=float, default=None)
     p.add_argument("--latent-dim", type=int, default=8)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_surrogate)
 
@@ -585,14 +575,14 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--rows", type=int, default=6)
-    p.add_argument("--obs-dim", type=int, default=4)
-    p.add_argument("--hidden", type=int, default=8)
-    p.add_argument("--latent-dim", type=int, default=2)
-    p.add_argument("--components", type=int, default=3)
-    p.add_argument("--t-samples", type=int, default=1)
+    p.add_argument("--rows", type=_int_at_least(1), default=6)
+    p.add_argument("--obs-dim", type=_int_at_least(1), default=4)
+    p.add_argument("--hidden", type=_int_at_least(1), default=8)
+    p.add_argument("--latent-dim", type=_int_at_least(1), default=2)
+    p.add_argument("--components", type=_int_at_least(1), default=3)
+    p.add_argument("--t-samples", type=_int_at_least(1), default=1)
     p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -607,7 +597,7 @@ def build_parser():
     p = sub.add_parser("sample", help="draw from a trained generative model")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--count", type=_int_at_least(0), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
     return parser
@@ -618,7 +608,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValidationError, ContractViolation) as exc:
+    except (ValidationError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericFault, DomainError) as exc:

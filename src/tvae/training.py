@@ -81,6 +81,7 @@ class TrainConfig:
             ("epochs", self.epochs),
             ("warm_start_iters", self.warm_start_iters),
             ("l1_coeff", self.l1_coeff),
+            ("seed", self.seed),
         ):
             if value < 0:
                 raise ContractViolation(f"{name} must be >= 0, got {value}")
@@ -212,6 +213,14 @@ def _mixture_from_assignments(latents, assignments, k_count, jitter, nu_init):
     return mixture.raw_from_moments(weights, means, covs, jitter, nu_init)
 
 
+def check_label_range(labels, n_components):
+    """Fail unless every int label names one of ``n_components`` components."""
+    if labels.size and labels.max() >= n_components:
+        raise ValidationError(
+            f"label {labels.max()} outside the {n_components} components"
+        )
+
+
 class Trainer:
     """Owns the networks, raw mixture parameters, optimizer state and rng.
 
@@ -233,10 +242,7 @@ class Trainer:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.shape != (observations.shape[0],):
                 raise ContractViolation("labels must align with observations")
-            if labels.size and labels.max() >= cfg.n_components:
-                raise ValidationError(
-                    f"label {labels.max()} outside the {cfg.n_components} components"
-                )
+            check_label_range(labels, cfg.n_components)
         if cfg.mode.kind in ("supervised", "semi_supervised") and labels is None:
             raise ContractViolation(f"{cfg.mode.kind} training requires labels")
         self.cfg = cfg

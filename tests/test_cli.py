@@ -663,6 +663,104 @@ def test_gridsearch_rejects_jobs_below_one(workspace, tmp_path, monkeypatch, cap
     assert not out_dir.exists()
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is counted; returns the count list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"l1_coeff": [0.001, -1]}, "error: l1_coeff must be >= 0, got -1.0\n"),
+        ({"n_components": [3, 2]}, "error: label 2 outside the 2 components\n"),
+    ],
+)
+def test_gridsearch_checks_every_cell_before_any_trains(
+    workspace, tmp_path, monkeypatch, capsys, grid, message
+):
+    trained = _count_calls(monkeypatch, training, "train")
+    out_dir = tmp_path / "gs"
+    grid_path = write_json(tmp_path / "g.json", grid)
+    assert _rerun_grid(workspace, grid_path, str(out_dir)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == message
+    assert trained == []
+    assert not out_dir.exists()
+
+
+def test_gridsearch_refuses_to_resume_cells_of_other_data(
+    workspace, grid_run, tmp_path, monkeypatch, capsys
+):
+    out_dir = str(tmp_path / "gs")
+    shutil.copytree(grid_run["out"], out_dir)
+    other = str(tmp_path / "other.csv")
+    assert main(["pinwheel", "--arms", "3", "--points-per-arm", "40",
+                 "--seed", "8", "--out", other]) == 0
+    capsys.readouterr()
+    trained = _count_calls(monkeypatch, training, "train")
+    code = main(["gridsearch", "--config", workspace["config"], "--grid",
+                 grid_run["grid"], "--data", other, "--out-dir", out_dir])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cell_000" in err and "--out-dir" in err
+    assert trained == []
+
+
+def test_gridsearch_refuses_a_cell_result_without_its_data_digest(
+    workspace, grid_run, tmp_path, monkeypatch, capsys
+):
+    out_dir = str(tmp_path / "gs")
+    shutil.copytree(grid_run["out"], out_dir)
+    done = os.path.join(out_dir, "cell_000", "results.json")
+    with open(done, encoding="utf-8") as fh:
+        res = json.load(fh)
+    assert res.pop("data_sha256") == hashlib.sha256(
+        open(workspace["data"], "rb").read()
+    ).hexdigest()
+    write_json(done, res)
+    trained = _count_calls(monkeypatch, training, "train")
+    assert _rerun_grid(workspace, grid_run["grid"], out_dir) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {done} ") and "--out-dir" in err
+    assert trained == []
+
+
+def test_gridsearch_parses_its_data_once(workspace, tmp_path, monkeypatch):
+    loads = _count_calls(monkeypatch, data_mod, "load_csv")
+    grid = write_json(tmp_path / "g.json", {"l1_coeff": [0.001, 0.01]})
+    assert _rerun_grid(workspace, grid, str(tmp_path / "gs")) == 0
+    assert len(loads) == 1
+
+
+def test_gridsearch_pool_writes_the_serial_bytes(workspace, grid_run, tmp_path):
+    out_dir = tmp_path / "gs"
+    code = main(["gridsearch", "--config", workspace["config"], "--grid",
+                 grid_run["grid"], "--data", workspace["data"],
+                 "--out-dir", str(out_dir), "--jobs", "2"])
+    assert code == 0
+    names = ["results.csv"] + [
+        os.path.join(f"cell_{i:03d}", name)
+        for i in range(2)
+        for name in ("results.json", "checkpoint.json", "metrics.csv")
+    ]
+    for name in names:
+        with open(out_dir / name, "rb") as fh:
+            pooled = fh.read()
+        with open(os.path.join(grid_run["out"], name), "rb") as fh:
+            assert fh.read() == pooled, name
+    digest = hashlib.sha256(open(workspace["data"], "rb").read()).hexdigest()
+    for i in range(2):
+        res = json.loads((out_dir / f"cell_{i:03d}" / "results.json").read_text())
+        assert res["data_sha256"] == digest
+
+
 # ------------------------------------------------------------------- sampling
 
 
@@ -875,4 +973,85 @@ def test_unreadable_data_file_is_a_validation_error(
     }[command]
     assert main([command, "--data", str(data), *argv]) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith(f"error: cannot read {data}: ")
+    assert not out_dir.exists()
+
+
+# ------------------------------------------------- bad arguments and outputs
+
+
+def _seed_argv(workspace, tmp_path, command):
+    """``command``'s arguments with a negative seed, by flag or by config."""
+    ckpt = os.path.join(workspace["run"], "checkpoint.json")
+    negative = write_json(tmp_path / "neg.json", {**TINY_CONFIG, "seed": -1})
+    out_dir = str(tmp_path / "out")
+    return {
+        "pinwheel": ["--seed", "-1", "--out", str(tmp_path / "p.csv")],
+        "surrogate": ["--seed", "-1", "--out", str(tmp_path / "s.csv")],
+        "gradcheck": ["--seed", "-1"],
+        "sample": ["--checkpoint", ckpt, "--count", "3", "--seed", "-1",
+                   "--out", str(tmp_path / "d.csv")],
+        "train": ["--config", negative, "--data", workspace["data"],
+                  "--out-dir", out_dir],
+        "gridsearch": ["--config", negative, "--data", workspace["data"],
+                       "--grid", write_json(tmp_path / "g.json", {"l1_coeff": [0.01]}),
+                       "--out-dir", out_dir],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command", ["pinwheel", "surrogate", "gradcheck", "sample", "train", "gridsearch"]
+)
+def test_a_negative_seed_is_a_validation_error(workspace, tmp_path, capsys, command):
+    argv = _seed_argv(workspace, tmp_path, command)
+    assert main([command, *argv]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert sorted(os.listdir(tmp_path)) == ["g.json", "neg.json"]  # inputs only
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("rows", "-1"), ("obs-dim", "0"), ("hidden", "0"), ("latent-dim", "0"),
+     ("components", "0"), ("t-samples", "0")],
+)
+def test_gradcheck_sizes_below_one_are_usage_failures(capsys, flag, value):
+    assert main(["gradcheck", "--seed", "1", f"--{flag}", value]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"argument --{flag}: " in err
+
+
+@pytest.mark.parametrize(
+    "command", ["pinwheel", "surrogate", "sample", "eval", "train", "gridsearch"]
+)
+def test_an_output_path_under_a_file_is_a_validation_error(
+    workspace, tmp_path, capsys, command
+):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    ckpt = os.path.join(workspace["run"], "checkpoint.json")
+    out = str(afile / "x.csv")
+    argv = {
+        "pinwheel": ["--seed", "1", "--out", out],
+        "surrogate": ["--seed", "1", "--k-classes", "2", "--obs-dim", "3", "--out", out],
+        "sample": ["--checkpoint", ckpt, "--count", "3", "--seed", "1", "--out", out],
+        "eval": ["--checkpoint", ckpt, "--data", workspace["data"], "--out", out],
+        "train": ["--config", workspace["config"], "--data", workspace["data"],
+                  "--out-dir", str(afile)],
+        "gridsearch": ["--config", workspace["config"], "--data", workspace["data"],
+                       "--grid", write_json(tmp_path / "g.json", {"l1_coeff": [0.01]}),
+                       "--out-dir", str(afile)],
+    }[command]
+    assert main([command, *argv]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert afile.read_text() == ""
+
+
+def test_train_with_an_out_of_range_label_makes_no_directory(
+    workspace, tmp_path, capsys
+):
+    config = write_json(tmp_path / "k2.json", {**TINY_CONFIG, "n_components": 2})
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", config, "--data", workspace["data"],
+                 "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: label 2 outside the 2 components\n"
     assert not out_dir.exists()

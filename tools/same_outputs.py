@@ -52,6 +52,11 @@ COMMANDS = [
      "--out", "sample_sup.csv"],
     ["gridsearch", "--config", "sup.json", "--grid", "grid.json", "--data", "sur.csv",
      "--out-dir", "grid"],
+    # the same grid again resumes every cell; then a pool of two workers
+    ["gridsearch", "--config", "sup.json", "--grid", "grid.json", "--data", "sur.csv",
+     "--out-dir", "grid"],
+    ["gridsearch", "--config", "sup.json", "--grid", "grid.json", "--data", "sur.csv",
+     "--out-dir", "grid_pool", "--jobs", "2"],
 ]
 
 
